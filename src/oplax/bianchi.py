@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lax import OperadicParams, build_mu, solve_C
+from .lax import OperadicParams, antisymmetric, build_mu, solve_C
 from .oscillator import HOParams, trajectory
 
 
@@ -88,29 +88,24 @@ def structure_constants(label: BianchiLabel) -> StructureConstants:
     alpha, n1, n2, n3 = _PARAMS[label.type]
     if alpha == "a":
         alpha = label.a
-    m = [[[0 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-
-    def put(i, j, k, value):
-        m[i][j][k] = value
-        m[i][k][j] = -value
-
-    put(1, 0, 1, -alpha)   # mu^2_12
-    put(2, 0, 1, n3)       # mu^3_12
-    put(0, 1, 2, n1)       # mu^1_23
-    put(1, 2, 0, n2)       # mu^2_31
-    put(2, 2, 0, alpha)    # mu^3_31
-    return StructureConstants(np.array(m))
+    return StructureConstants(np.array(antisymmetric(
+        (0, -alpha, n3, n1, 0, 0, 0, n2, alpha))))
 
 
-_DEFORMABLE = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
+DEFORMABLE = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
+
+
+def require_deformable(btype: BianchiType) -> None:
+    """Raise UnsupportedLabelError unless the type has a deformation row."""
+    if btype not in DEFORMABLE:
+        raise UnsupportedLabelError(
+            f"type {btype.value} has no dynamical deformation"
+        )
 
 
 def label_params(label: BianchiLabel, p0, sqrt_2p0=None) -> OperadicParams:
     """Operadic parameters whose t = 0 tensor is the Bianchi row."""
-    if label.type not in _DEFORMABLE:
-        raise UnsupportedLabelError(
-            f"type {label.type.value} has no dynamical deformation"
-        )
+    require_deformable(label.type)
     sc = structure_constants(label)
     return solve_C(sc.array.tolist(), p0, sqrt_2p0=sqrt_2p0)
 
@@ -128,32 +123,24 @@ def deformation_closed_form(label: BianchiLabel, params: HOParams,
                             t: float) -> StructureConstants:
     """Deformed structure tensor from the stored closed forms (independent
     of the operadic generation path)."""
-    if label.type not in _DEFORMABLE:
-        raise UnsupportedLabelError(
-            f"type {label.type.value} has no dynamical deformation"
-        )
+    require_deformable(label.type)
     a = label.a_value
     n3 = 1 if label.type is BianchiType.VIIA else -1
     pt = trajectory(params, t)
     p0 = params.p0
     root = np.sqrt(2 * p0)
     w = params.omega
-    m = [[[0.0 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-
-    def put(i, j, k, value):
-        m[i][j][k] = value
-        m[i][k][j] = -value
-
-    put(0, 0, 1, a * pt.Q / root)             # mu^1_12
-    put(1, 0, 1, -a * pt.P / root)            # mu^2_12
-    put(2, 0, 1, float(n3))                   # mu^3_12
-    put(0, 1, 2, (p0 - pt.p) / (2 * p0))      # mu^1_23
-    put(1, 1, 2, -w * pt.q / (2 * p0))        # mu^2_23
-    put(2, 1, 2, -a * pt.Q / root)            # mu^3_23
-    put(0, 2, 0, -w * pt.q / (2 * p0))        # mu^1_31
-    put(1, 2, 0, (pt.p + p0) / (2 * p0))      # mu^2_31
-    put(2, 2, 0, a * pt.P / root)             # mu^3_31
-    return StructureConstants(np.array(m))
+    return StructureConstants(np.array(antisymmetric((
+        a * pt.Q / root,             # mu^1_12
+        -a * pt.P / root,            # mu^2_12
+        float(n3),                   # mu^3_12
+        (p0 - pt.p) / (2 * p0),      # mu^1_23
+        -w * pt.q / (2 * p0),        # mu^2_23
+        -a * pt.Q / root,            # mu^3_23
+        -w * pt.q / (2 * p0),        # mu^1_31
+        (pt.p + p0) / (2 * p0),      # mu^2_31
+        a * pt.P / root,             # mu^3_31
+    ))))
 
 
 def classical_jacobiator(sc: StructureConstants, x, y, z) -> np.ndarray:

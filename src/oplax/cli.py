@@ -18,7 +18,9 @@ import sys
 import time
 
 from . import qjacobi as qj
-from .bianchi import BianchiLabel, BianchiType, dynamical_deformation
+from .bianchi import (BianchiLabel, BianchiType, label_params,
+                      require_deformable)
+from .lax import SLOTS, build_mu
 from .oscillator import HOParams, trajectory
 from .report import fmt
 from .suites import ALL_SUITES
@@ -30,21 +32,31 @@ _LABELS = {
     "VIa": BianchiType.VIA,
 }
 
-_MU_COLUMNS = ("mu_12^1", "mu_12^2", "mu_12^3", "mu_23^1", "mu_23^2",
-               "mu_23^3", "mu_31^1", "mu_31^2", "mu_31^3")
-_MU_INDICES = ((1, 1, 2), (2, 1, 2), (3, 1, 2), (1, 2, 3), (2, 2, 3),
-               (3, 2, 3), (1, 3, 1), (2, 3, 1), (3, 3, 1))
-
 
 def _fail_usage(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
+    return value
+
+
 def _make_label(args) -> BianchiLabel:
     btype = _LABELS[args.label]
     needs_a = btype in (BianchiType.VIIA, BianchiType.VIA)
     try:
+        require_deformable(btype)
         return BianchiLabel(btype, args.a if needs_a else None)
     except ValueError as exc:
         _fail_usage(str(exc))
@@ -65,7 +77,8 @@ def _emit_rows(header, rows, fmt_name: str):
             writer.writerow([fmt(v) for v in row])
     else:
         for row in rows:
-            print(json.dumps(dict(zip(header, row)), sort_keys=True))
+            print(json.dumps(dict(zip(header, row)), sort_keys=True,
+                             allow_nan=False))
 
 
 def cmd_verify(args) -> int:
@@ -92,33 +105,34 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_deform(args) -> int:
-    label = _make_label(args)
-    if label.type is BianchiType.II:
-        _fail_usage("type II has no dynamical deformation")
-    params = _make_params(args)
+def _times(args) -> list:
     if args.steps < 1:
         _fail_usage("steps must be >= 1")
-    header = ("t", "q", "p", "Q", "P") + _MU_COLUMNS
+    return [args.t0 + (args.t1 - args.t0) * i / args.steps
+            for i in range(args.steps + 1)]
+
+
+def cmd_deform(args) -> int:
+    label = _make_label(args)
+    params = _make_params(args)
+    C = label_params(label, params.p0)
+    header = ("t", "q", "p", "Q", "P") + tuple(
+        f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
     rows = []
-    for i in range(args.steps + 1):
-        t = args.t0 + (args.t1 - args.t0) * i / args.steps
+    for t in _times(args):
         pt = trajectory(params, t)
-        sc = dynamical_deformation(label, params, t)
+        mu = build_mu(C, params, pt)
         rows.append((t, pt.q, pt.p, pt.Q, pt.P)
-                    + tuple(float(sc.component(*idx)) for idx in _MU_INDICES))
+                    + tuple(float(mu[i][j][k]) for i, j, k in SLOTS))
     _emit_rows(header, rows, args.format)
     return 0
 
 
 def cmd_trajectory(args) -> int:
     params = _make_params(args)
-    if args.steps < 1:
-        _fail_usage("steps must be >= 1")
     header = ("t", "q", "p", "Q", "P", "H")
     rows = []
-    for i in range(args.steps + 1):
-        t = args.t0 + (args.t1 - args.t0) * i / args.steps
+    for t in _times(args):
         pt = trajectory(params, t)
         rows.append((t, pt.q, pt.p, pt.Q, pt.P, pt.H))
     _emit_rows(header, rows, args.format)
@@ -127,15 +141,14 @@ def cmd_trajectory(args) -> int:
 
 def cmd_jacobi(args) -> int:
     btype = _LABELS[args.label]
-    if btype is BianchiType.II:
-        _fail_usage("type II has no quantum Jacobi operator here")
     # the symbolic pipeline keeps a as a symbol; a numeric --a is only
     # validated for domain
-    if args.a is not None:
-        try:
+    try:
+        require_deformable(btype)
+        if args.a is not None:
             BianchiLabel(btype, args.a)
-        except ValueError as exc:
-            _fail_usage(str(exc))
+    except ValueError as exc:
+        _fail_usage(str(exc))
     alphabet = "PQ" if args.alphabet == "pq" else "qpPQ"
     theorem = qj.verify_theorem_q(btype, args.convention, alphabet)
     semi = qj.semiclassical_jacobi(btype)
@@ -156,7 +169,7 @@ def cmd_jacobi(args) -> int:
         "heisenberg": da.heisenberg_ok,
     }
     if args.format == "json":
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps(obj, sort_keys=True, allow_nan=False))
         return 0
     print(f"label={args.label} convention={args.convention} "
           f"alphabet={alphabet}")
@@ -186,10 +199,10 @@ def cmd_spectrum(args) -> int:
 
 
 def _add_flow_flags(sub, t1_default):
-    sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--energy", type=float, default=0.5)
-    sub.add_argument("--t0", type=float, default=0.0)
-    sub.add_argument("--t1", type=float, default=t1_default)
+    sub.add_argument("--omega", type=_finite_float, default=1.0)
+    sub.add_argument("--energy", type=_finite_float, default=0.5)
+    sub.add_argument("--t0", type=_finite_float, default=0.0)
+    sub.add_argument("--t1", type=_finite_float, default=t1_default)
     sub.add_argument("--steps", type=int, default=100)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -207,16 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("all", "operad", "lax", "bianchi", "quantum"),
                    default="all")
     v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--tol-fd", type=float, default=1e-6,
+    v.add_argument("--tol-fd", type=_tolerance, default=1e-6,
                    help="finite-difference residual tolerance")
-    v.add_argument("--tol-exact-float", type=float, default=1e-12,
+    v.add_argument("--tol-exact-float", type=_tolerance, default=1e-12,
                    help="tolerance for identities exact up to rounding")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(func=cmd_verify)
 
     d = subs.add_parser("deform", help="dynamical deformation table")
     d.add_argument("--label", choices=tuple(_LABELS), required=True)
-    d.add_argument("--a", type=float, default=None)
+    d.add_argument("--a", type=_finite_float, default=None)
     _add_flow_flags(d, t1_default=2 * math.pi)
     d.set_defaults(func=cmd_deform)
 
@@ -226,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = subs.add_parser("jacobi", help="quantum Jacobi operator report")
     j.add_argument("--label", choices=tuple(_LABELS), required=True)
-    j.add_argument("--a", type=float, default=None)
+    j.add_argument("--a", type=_finite_float, default=None)
     j.add_argument("--convention", choices=("left", "right"),
                    default="left")
     j.add_argument("--alphabet", choices=("pq", "qpPQ"), default="pq")

@@ -110,6 +110,24 @@ def verify_matrix_lax(params: HOParams, t: float, dt: float = 1e-5,
     return ResidualReport(residual=residual, tol=tol, t=t, mode="fd")
 
 
+# The nine independent components mu^i_{jk}, 0-based, in table order:
+# mu^1_12, mu^2_12, mu^3_12, mu^1_23, mu^2_23, mu^3_23, mu^1_31, mu^2_31,
+# mu^3_31.
+SLOTS = ((0, 0, 1), (1, 0, 1), (2, 0, 1),
+         (0, 1, 2), (1, 1, 2), (2, 1, 2),
+         (0, 2, 0), (1, 2, 0), (2, 2, 0))
+
+
+def antisymmetric(values, zero=0) -> list:
+    """3x3x3 nested list holding the nine values at SLOTS, their negatives
+    at the transposed slots mu^i_{kj}, and zero everywhere else."""
+    mu = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j, k), value in zip(SLOTS, values, strict=True):
+        mu[i][j][k] = value
+        mu[i][k][j] = -value
+    return mu
+
+
 def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint,
              require_admissible: bool = False) -> list:
     """27-component tensor mu[i][j][k] of the binary operadic Lax operation.
@@ -128,22 +146,17 @@ def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint,
         )
     w = params.omega
     q, p, Q, P = point.q, point.p, point.Q, point.P
-    mu = [[[0 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-
-    def put(i, j, k, value):
-        mu[i][j][k] = value
-        mu[i][k][j] = -value
-
-    put(0, 1, 2, C.c2 * p - C.c3 * w * q - C.c4)   # mu^1_23
-    put(1, 0, 2, C.c2 * p - C.c3 * w * q + C.c4)   # mu^2_13
-    put(0, 2, 0, C.c2 * w * q + C.c3 * p - C.c1)   # mu^1_31
-    put(1, 1, 2, C.c2 * w * q + C.c3 * p + C.c1)   # mu^2_23
-    put(0, 0, 1, C.c5 * P + C.c6 * Q)              # mu^1_12
-    put(1, 0, 1, C.c5 * Q - C.c6 * P)              # mu^2_12
-    put(2, 0, 2, C.c7 * P + C.c8 * Q)              # mu^3_13
-    put(2, 1, 2, C.c7 * Q - C.c8 * P)              # mu^3_23
-    put(2, 0, 1, C.c9)                             # mu^3_12
-    return mu
+    return antisymmetric((
+        C.c5 * P + C.c6 * Q,                 # mu^1_12
+        C.c5 * Q - C.c6 * P,                 # mu^2_12
+        C.c9,                                # mu^3_12
+        C.c2 * p - C.c3 * w * q - C.c4,      # mu^1_23
+        C.c2 * w * q + C.c3 * p + C.c1,      # mu^2_23
+        C.c7 * Q - C.c8 * P,                 # mu^3_23
+        C.c2 * w * q + C.c3 * p - C.c1,      # mu^1_31
+        -(C.c2 * p - C.c3 * w * q + C.c4),   # mu^2_31
+        -(C.c7 * P + C.c8 * Q),              # mu^3_31
+    ))
 
 
 def mu_multiop(mu) -> MultiOp:
@@ -206,22 +219,17 @@ def mu_time_derivative(C: OperadicParams, params: HOParams,
     Qdot = (w/2) P, Pdot = -(w/2) Q."""
     w = params.omega
     q, p, Q, P = point.q, point.p, point.Q, point.P
-    d = [[[0 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-
-    def put(i, j, k, value):
-        d[i][j][k] = value
-        d[i][k][j] = -value
-
-    put(0, 1, 2, -C.c2 * w * w * q - C.c3 * w * p)
-    put(1, 0, 2, -C.c2 * w * w * q - C.c3 * w * p)
-    put(0, 2, 0, C.c2 * w * p - C.c3 * w * w * q)
-    put(1, 1, 2, C.c2 * w * p - C.c3 * w * w * q)
-    put(0, 0, 1, (w / 2) * (C.c6 * P - C.c5 * Q))
-    put(1, 0, 1, (w / 2) * (C.c5 * P + C.c6 * Q))
-    put(2, 0, 2, (w / 2) * (C.c8 * P - C.c7 * Q))
-    put(2, 1, 2, (w / 2) * (C.c7 * P + C.c8 * Q))
-    put(2, 0, 1, 0)
-    return d
+    return antisymmetric((
+        (w / 2) * (C.c6 * P - C.c5 * Q),
+        (w / 2) * (C.c5 * P + C.c6 * Q),
+        0,
+        -C.c2 * w * w * q - C.c3 * w * p,
+        C.c2 * w * p - C.c3 * w * w * q,
+        (w / 2) * (C.c7 * P + C.c8 * Q),
+        C.c2 * w * p - C.c3 * w * w * q,
+        -(-C.c2 * w * w * q - C.c3 * w * p),
+        -((w / 2) * (C.c8 * P - C.c7 * Q)),
+    ))
 
 
 def verify_operadic_lax(C: OperadicParams, params: HOParams, t: float,

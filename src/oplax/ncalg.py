@@ -123,10 +123,6 @@ class CoeffPoly:
         i = _SYM_INDEX[name]
         return any(exps[i] != 0 for exps in self.terms)
 
-    def max_exponent(self, name: str) -> int:
-        i = _SYM_INDEX[name]
-        return max((exps[i] for exps in self.terms), default=0)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -210,6 +206,9 @@ class CoeffPoly:
         return not self.is_zero
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it must hash like it
+        if self.terms.keys() <= {_ZERO_EXPS}:
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     # -- substitution and evaluation ---------------------------------------
@@ -543,26 +542,8 @@ class NCPoly:
         return f"NCPoly({self.render()})"
 
 
-def normal_order(terms: dict, table: CommutationTable) -> NCPoly:
-    """Normal-order raw {word: coefficient} data under the table."""
-    return NCPoly(table, terms)
-
-
-def mul(x: NCPoly, y: NCPoly) -> NCPoly:
-    return x * y
-
-
-def add(x: NCPoly, y: NCPoly) -> NCPoly:
-    return x + y
-
-
 def commutator(x: NCPoly, y: NCPoly) -> NCPoly:
     return x * y - y * x
-
-
-def substitute(x: NCPoly, defs: dict) -> NCPoly:
-    """Simultaneous letter substitution followed by normal ordering."""
-    return x.substitute_letters(defs)
 
 
 def hbar_truncate(x: NCPoly, k: int) -> NCPoly:

@@ -26,16 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .bianchi import BianchiType, UnsupportedLabelError
-from .ncalg import CoeffPoly, CommutationTable, NCPoly, commutator, \
-    quasi_ccr_table
+from .bianchi import BianchiType, require_deformable
+from .lax import antisymmetric
+from .ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly, commutator,
+                    quasi_ccr_table)
 
 PQ_TABLE = quasi_ccr_table(("P", "Q"))
 QPPQ_TABLE = quasi_ccr_table(("q", "p", "P", "Q"))
 
 _TABLES = {"PQ": PQ_TABLE, "qpPQ": QPPQ_TABLE}
-
-_DEFORMABLE = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
 
 
 def table_for(alphabet: str) -> CommutationTable:
@@ -73,10 +72,7 @@ def _a_factor(btype: BianchiType) -> CoeffPoly:
 
 def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     """3x3x3 nested list of NCPoly operator structure constants."""
-    if btype not in _DEFORMABLE:
-        raise UnsupportedLabelError(
-            f"type {btype.value} has no quantum counterpart here"
-        )
+    require_deformable(btype)
     a = _a_factor(btype)
     n3 = 1 if btype is BianchiType.VIIA else -1
     inv2p0 = CoeffPoly.monomial(Fraction(1, 2), {"p0": -1})
@@ -87,23 +83,17 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     wq_op = omega_q_poly(table)
     half = NCPoly.scalar(table, Fraction(1, 2))
 
-    mu = [[[NCPoly.zero(table) for _ in range(3)] for _ in range(3)]
-          for _ in range(3)]
-
-    def put(i, j, k, value):
-        mu[i][j][k] = value
-        mu[i][k][j] = -value
-
-    put(0, 0, 1, Q * (a * inv_r))                    # mu^1_12 = a Q / r
-    put(1, 0, 1, -(P * (a * inv_r)))                 # mu^2_12 = -a P / r
-    put(2, 0, 1, NCPoly.scalar(table, n3))           # mu^3_12
-    put(0, 1, 2, half - p_op * inv2p0)               # mu^1_23 = (p0 - p)/(2p0)
-    put(1, 1, 2, -(wq_op * inv2p0))                  # mu^2_23
-    put(2, 1, 2, -(Q * (a * inv_r)))                 # mu^3_23
-    put(0, 2, 0, -(wq_op * inv2p0))                  # mu^1_31
-    put(1, 2, 0, p_op * inv2p0 + half)               # mu^2_31 = (p + p0)/(2p0)
-    put(2, 2, 0, P * (a * inv_r))                    # mu^3_31
-    return mu
+    return antisymmetric((
+        Q * (a * inv_r),                     # mu^1_12 = a Q / r
+        -(P * (a * inv_r)),                  # mu^2_12 = -a P / r
+        NCPoly.scalar(table, n3),            # mu^3_12
+        half - p_op * inv2p0,                # mu^1_23 = (p0 - p)/(2p0)
+        -(wq_op * inv2p0),                   # mu^2_23
+        -(Q * (a * inv_r)),                  # mu^3_23
+        -(wq_op * inv2p0),                   # mu^1_31
+        p_op * inv2p0 + half,                # mu^2_31 = (p + p0)/(2p0)
+        P * (a * inv_r),                     # mu^3_31
+    ), zero=NCPoly.zero(table))
 
 
 @dataclass(frozen=True)
@@ -273,9 +263,7 @@ def xi_hform() -> tuple[NCPoly, NCPoly]:
     return xi1, xi2
 
 
-from .ncalg import _SYM_INDEX as _NCALG_SYM_INDEX  # noqa: E402
-
-_H_INDEX = _NCALG_SYM_INDEX["h"]
+_H_INDEX = SYMBOLS.index("h")
 
 
 def expand_energy_symbol(x: NCPoly) -> NCPoly:
@@ -309,10 +297,7 @@ def _jacobi_coefficient(btype: BianchiType) -> CoeffPoly:
 def semiclassical_jacobi(btype: BianchiType) -> list[NCPoly]:
     """Jacobiator components in the semiclassical two-letter calculus,
     proportional to the abstract determinant symbol Delta."""
-    if btype not in _DEFORMABLE:
-        raise UnsupportedLabelError(
-            f"type {btype.value} has no quantum counterpart here"
-        )
+    require_deformable(btype)
     coef = _jacobi_coefficient(btype)
     xi1, xi2 = semiclassical_xi()
     a = _a_factor(btype)
@@ -327,10 +312,7 @@ def semiclassical_jacobi(btype: BianchiType) -> list[NCPoly]:
 def semiclassical_jacobi_hform(btype: BianchiType) -> list[NCPoly]:
     """Same components with sqrt(2H) kept central (input to the H = E
     reduction)."""
-    if btype not in _DEFORMABLE:
-        raise UnsupportedLabelError(
-            f"type {btype.value} has no quantum counterpart here"
-        )
+    require_deformable(btype)
     coef = _jacobi_coefficient(btype)
     xi1, xi2 = xi_hform()
     return [xi1 * coef, xi2 * coef, semiclassical_jacobi(btype)[2]]

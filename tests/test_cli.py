@@ -5,7 +5,10 @@ import math
 
 import pytest
 
+from oplax.bianchi import BianchiLabel, BianchiType, deformation_closed_form
 from oplax.cli import main
+from oplax.lax import SLOTS
+from oplax.oscillator import HOParams
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +23,19 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+@pytest.mark.parametrize("argv", (
+    ("trajectory", "--omega", "inf"),
+    ("deform", "--label", "VIIa", "--a", "inf", "--t1", "nan",
+     "--format", "json"),
+    ("verify", "--target", "lax", "--tol-fd", "-1e-6"),
+    ("verify", "--target", "lax", "--tol-exact-float", "nan"),
+))
+def test_bad_number_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
 
 
 class TestVerify:
@@ -130,6 +146,24 @@ class TestDeform:
         first, last = rows[0], rows[-1]
         for name, a, b in zip(header[1:], first[1:], last[1:]):
             assert float(a) == pytest.approx(float(b), abs=1e-9), name
+
+    @pytest.mark.parametrize("label, a", (("VIIa", 0.7), ("VIa", 2.5)))
+    def test_rows_follow_closed_form(self, capsys, label, a):
+        omega, energy = 1.3, 0.8
+        period = 2 * math.pi / omega
+        _, out, _ = run_cli(capsys, "deform", "--label", label, "--a", str(a),
+                            "--omega", str(omega), "--energy", str(energy),
+                            "--t1", str(period), "--steps", "12")
+        header, rows = parse_csv(out)
+        assert len(rows) == 13
+        bianchi = BianchiLabel(BianchiType(label), a)
+        params = HOParams.from_energy(omega, energy)
+        for row in rows:
+            t = float(row[0])
+            closed = deformation_closed_form(bianchi, params, t).array
+            for value, (i, j, k) in zip(row[5:], SLOTS, strict=True):
+                assert float(value) == pytest.approx(closed[i, j, k],
+                                                     abs=1e-12)
 
     def test_type_ii_rejected(self, capsys):
         code, _, err = run_cli(capsys, "deform", "--label", "II")

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oplax.lax import (InvalidParametersError, NotRepresentableError,
-                       OperadicParams, _exact_sqrt, build_L, build_M,
-                       build_mu, mu_multiop, mu_time_derivative, solve_C,
-                       verify_matrix_lax, verify_operadic_lax)
+from oplax.lax import (SLOTS, InvalidParametersError, NotRepresentableError,
+                       OperadicParams, _exact_sqrt, antisymmetric, build_L,
+                       build_M, build_mu, mu_multiop, mu_time_derivative,
+                       solve_C, verify_matrix_lax, verify_operadic_lax)
 from oplax.operad import MultiOp, gerstenhaber
 from oplax.oscillator import HOParams, PhasePoint, trajectory
 
@@ -70,6 +70,13 @@ class TestMatrixLax:
 
 
 class TestBuildMu:
+    def test_antisymmetric_slots(self):
+        mu = np.array(antisymmetric(range(1, 10)))
+        assert [mu[slot] for slot in SLOTS] == list(range(1, 10))
+        # transposed slots negated, so the j = k diagonal is zero
+        assert np.array_equal(mu, -mu.transpose(0, 2, 1))
+        assert np.count_nonzero(mu) == 18
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(3)
         params = HOParams(omega=1.2, p0=0.8)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from oplax import qjacobi as qj
 from oplax.bianchi import BianchiType, UnsupportedLabelError
 from oplax.ncalg import CoeffPoly, NCPoly, commutator
+from oplax.suites import quantum_suite
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
@@ -238,3 +240,40 @@ class TestSpectrum:
     def test_domain(self):
         with pytest.raises(ValueError):
             qj.spectrum_determinant(-1)
+
+
+class TestQuantumSuiteGates:
+    """Each gate fails when the pipeline it checks is broken."""
+
+    @staticmethod
+    def case_passed(case_id: str) -> bool:
+        return next(c.passed for c in quantum_suite().cases
+                    if c.case_id == case_id)
+
+    @pytest.mark.parametrize("broken", ("left_inexact", "right_lambda_free"))
+    def test_machine_check_can_fail(self, monkeypatch, broken):
+        real = qj.verify_theorem_q
+
+        def fake(btype, conv, alphabet):
+            rep = real(btype, conv, alphabet)
+            if broken == "left_inexact" and conv == "left":
+                return dataclasses.replace(rep, exact=(False, True, True))
+            if broken == "right_lambda_free" and conv == "right":
+                res = rep.residuals
+                bumped = res[0] + NCPoly.scalar(res[0].table, 1)
+                return dataclasses.replace(rep, residuals=(bumped,) + res[1:])
+            return rep
+
+        monkeypatch.setattr(qj, "verify_theorem_q", fake)
+        assert not self.case_passed("jacobi_theorem_machine_check")
+
+    @pytest.mark.parametrize("factor", (2, LAM))
+    def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
+        real = qj.derivative_algebra
+
+        def skewed(btype):
+            da = real(btype)
+            return dataclasses.replace(da, beta_sq=da.beta_sq * factor)
+
+        monkeypatch.setattr(qj, "derivative_algebra", skewed)
+        assert not self.case_passed("spectrum_determinant")
