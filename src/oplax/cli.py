@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -70,6 +71,8 @@ def _make_params(args) -> HOParams:
 
 
 def _emit_rows(header, rows, fmt_name: str):
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        _fail_usage("the flags overflow: a row is not finite")
     if fmt_name == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -105,11 +108,15 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _times(args) -> list:
+def _times(args, params: HOParams) -> list:
     if args.steps < 1:
         _fail_usage("steps must be >= 1")
-    return [args.t0 + (args.t1 - args.t0) * i / args.steps
-            for i in range(args.steps + 1)]
+    times = [args.t0 + (args.t1 - args.t0) * i / args.steps
+             for i in range(args.steps + 1)]
+    if not all(math.isfinite(params.omega * t) for t in times):
+        _fail_usage("the flags overflow: the time grid or omega*t "
+                    "is not finite")
+    return times
 
 
 def cmd_deform(args) -> int:
@@ -119,7 +126,7 @@ def cmd_deform(args) -> int:
     header = ("t", "q", "p", "Q", "P") + tuple(
         f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
     rows = []
-    for t in _times(args):
+    for t in _times(args, params):
         pt = trajectory(params, t)
         mu = build_mu(C, params, pt)
         rows.append((t, pt.q, pt.p, pt.Q, pt.P)
@@ -132,7 +139,7 @@ def cmd_trajectory(args) -> int:
     params = _make_params(args)
     header = ("t", "q", "p", "Q", "P", "H")
     rows = []
-    for t in _times(args):
+    for t in _times(args, params):
         pt = trajectory(params, t)
         rows.append((t, pt.q, pt.p, pt.Q, pt.P, pt.H))
     _emit_rows(header, rows, args.format)

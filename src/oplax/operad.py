@@ -1,16 +1,21 @@
 """Endomorphism-operad calculus on a finite-dimensional real space.
 
-A degree-n operation is a multilinear map f: V^ated n -> V stored as the
+A degree-n operation is a multilinear map f: V^(x)n -> V stored as the
 dense coordinate tensor c[i, j1, ..., jn].  Partial composition inserts one
 operation into a slot of another with the Koszul sign (-1)^(i*|g|), where
 |f| = deg f - 1 is the reduced degree.  The Gerstenhaber bracket is the
 graded commutator of total compositions and makes the operations a graded
 Lie algebra.
+
+Each partial composition is one matrix product whose axis permutations are
+planned once per (deg f, deg g, slot); it does exactly the arithmetic of
+np.tensordot, so results are bitwise those of the textbook contraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,6 +85,39 @@ def _check_dims(f: MultiOp, g: MultiOp):
         raise DimensionMismatchError(f"dim mismatch: {f.dim} != {g.dim}")
 
 
+@lru_cache(maxsize=None)
+def _plan(nf: int, ng: int, i: int) -> tuple:
+    """Axis permutations for f o_i g with deg f = nf, deg g = ng.
+
+    The first moves input slot i of f (tensor axis i+1) last.  The product
+    then has axes [out, a_1..a_i, a_(i+2)..a_nf, b_1..b_ng]; the second puts
+    the g-block right after the first i surviving f-inputs.
+    """
+    perm_f = tuple(k for k in range(nf + 1) if k != i + 1) + (i + 1,)
+    perm_out = (tuple(range(i + 1)) + tuple(range(nf, nf + ng))
+                + tuple(range(i + 1, nf)))
+    return perm_f, perm_out
+
+
+def _partial(fc: np.ndarray, nf: int, gc: np.ndarray, ng: int, i: int,
+             d: int) -> np.ndarray:
+    """Coefficients of f o_i g from the bare tensors of f and g."""
+    perm_f, perm_out = _plan(nf, ng, i)
+    res = np.dot(fc.transpose(perm_f).reshape(d ** nf, d),
+                 gc.reshape(d, d ** ng))
+    res = res.reshape((d,) * (nf + ng)).transpose(perm_out)
+    return -res if (i * (ng - 1)) % 2 else res
+
+
+def _total(fc: np.ndarray, nf: int, gc: np.ndarray, ng: int,
+           d: int) -> np.ndarray:
+    """Coefficients of the sum of f o_i g over i = 0..nf-1, in slot order."""
+    acc = _partial(fc, nf, gc, ng, 0, d)
+    for i in range(1, nf):
+        acc = acc + _partial(fc, nf, gc, ng, i, d)
+    return acc
+
+
 def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
     """f o_i g = (-1)^(i|g|) f o (1^i (x) g (x) 1^(|f|-i)), 0 <= i <= |f|."""
     _check_dims(f, g)
@@ -87,29 +125,22 @@ def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
         raise InvalidOperationError(
             f"slot {i} out of range 0..{f.reduced_degree}"
         )
-    nf, ng = f.degree, g.degree
-    sign = -1.0 if (i * g.reduced_degree) % 2 else 1.0
-    # contract input slot i of f (tensor axis i+1) with the output of g
-    raw = np.tensordot(f.coeffs, g.coeffs, axes=([i + 1], [0]))
-    # raw axes: [out, a_1..a_i, a_(i+2)..a_nf, b_1..b_ng]; move the g-block
-    # into place right after the first i surviving f-inputs
-    res = np.moveaxis(raw, range(nf, nf + ng), range(i + 1, i + 1 + ng))
-    return MultiOp(nf + g.reduced_degree, f.dim, sign * res)
+    return MultiOp(f.degree + g.reduced_degree, f.dim,
+                   _partial(f.coeffs, f.degree, g.coeffs, g.degree, i, f.dim))
 
 
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:
     """Sum of f o_i g over all slots i = 0..|f|."""
     _check_dims(f, g)
-    acc = partial_compose(f, g, 0).coeffs.copy()
-    for i in range(1, f.degree):
-        acc = acc + partial_compose(f, g, i).coeffs
-    return MultiOp(f.degree + g.reduced_degree, f.dim, acc)
+    return MultiOp(f.degree + g.reduced_degree, f.dim,
+                   _total(f.coeffs, f.degree, g.coeffs, g.degree, f.dim))
 
 
 def gerstenhaber(f: MultiOp, g: MultiOp) -> MultiOp:
     """Graded commutator [f, g] = f o g - (-1)^(|f||g|) g o f."""
     _check_dims(f, g)
-    sign = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
-    fg = total_compose(f, g)
-    gf = total_compose(g, f)
-    return MultiOp(fg.degree, f.dim, fg.coeffs - sign * gf.coeffs)
+    nf, ng, d = f.degree, g.degree, f.dim
+    fg = _total(f.coeffs, nf, g.coeffs, ng, d)
+    gf = _total(g.coeffs, ng, f.coeffs, nf, d)
+    odd = (f.reduced_degree * g.reduced_degree) % 2
+    return MultiOp(nf + g.reduced_degree, d, fg + gf if odd else fg - gf)

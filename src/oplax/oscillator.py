@@ -37,8 +37,8 @@ class HOParams:
     def __post_init__(self):
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
-        if not self.p0 > 0:
-            raise ValueError(f"p0 must be > 0, got {self.p0}")
+        if not 0 < self.p0 < math.inf:
+            raise ValueError(f"p0 must be finite and > 0, got {self.p0}")
 
     @property
     def energy(self) -> float:

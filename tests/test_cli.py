@@ -31,6 +31,11 @@ def parse_csv(text):
      "--format", "json"),
     ("verify", "--target", "lax", "--tol-fd", "-1e-6"),
     ("verify", "--target", "lax", "--tol-exact-float", "nan"),
+    # finite flags whose derived p0, phase omega*t or rows overflow
+    ("trajectory", "--omega", "1e308", "--t1", "1e10", "--steps", "2"),
+    ("trajectory", "--energy", "1e308", "--format", "json"),
+    ("trajectory", "--energy", "1e308"),
+    ("trajectory", "--omega", "1e-310"),
 ))
 def test_bad_number_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -103,6 +103,57 @@ class TestPartialCompose:
             partial_compose(f, g, 0)
 
 
+def reference_partial(f, g, i):
+    """f o_i g by tensordot and moveaxis, the textbook contraction."""
+    nf, ng = f.degree, g.degree
+    sign = -1.0 if (i * g.reduced_degree) % 2 else 1.0
+    raw = np.tensordot(f.coeffs, g.coeffs, axes=([i + 1], [0]))
+    return sign * np.moveaxis(raw, range(nf, nf + ng),
+                              range(i + 1, i + 1 + ng))
+
+
+ALL_SHAPES = [(dim, nf, ng) for dim in (1, 2, 3)
+              for nf in (1, 2, 3) for ng in (1, 2, 3)]
+
+
+class TestBitwise:
+    def test_partial_matches_tensordot_bitwise(self):
+        rng = np.random.default_rng(12)
+        for dim, nf, ng in ALL_SHAPES:
+            f = random_op(rng, dim, degree=nf)
+            g = random_op(rng, dim, degree=ng)
+            for i in range(nf):
+                assert np.array_equal(partial_compose(f, g, i).coeffs,
+                                      reference_partial(f, g, i)), \
+                    (dim, nf, ng, i)
+
+    def test_total_and_bracket_match_slot_order_sums_bitwise(self):
+        rng = np.random.default_rng(13)
+        for dim, nf, ng in ALL_SHAPES:
+            f = random_op(rng, dim, degree=nf)
+            g = random_op(rng, dim, degree=ng)
+            fg = reference_partial(f, g, 0)
+            for i in range(1, nf):
+                fg = fg + reference_partial(f, g, i)
+            gf = reference_partial(g, f, 0)
+            for i in range(1, ng):
+                gf = gf + reference_partial(g, f, i)
+            sign = (-1.0) ** (f.reduced_degree * g.reduced_degree)
+            assert np.array_equal(total_compose(f, g).coeffs, fg)
+            assert np.array_equal(gerstenhaber(f, g).coeffs,
+                                  fg - sign * gf), (dim, nf, ng)
+
+    def test_small_integers_match_brute_force_exactly(self):
+        rng = np.random.default_rng(14)
+        for dim, nf, ng in ALL_SHAPES:
+            f = MultiOp(nf, dim, rng.integers(-3, 4, (dim,) * (nf + 1)))
+            g = MultiOp(ng, dim, rng.integers(-3, 4, (dim,) * (ng + 1)))
+            brute = [brute_partial_compose(f, g, i) for i in range(nf)]
+            for i in range(nf):
+                assert (partial_compose(f, g, i).coeffs == brute[i]).all()
+            assert (total_compose(f, g).coeffs == sum(brute)).all()
+
+
 class TestTotalCompose:
     def test_unary_unary_is_matrix_product(self):
         rng = np.random.default_rng(5)
