@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 import time
 
@@ -51,6 +52,21 @@ def _tolerance(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
     return value
+
+
+# argparse takes only "-1"- and "-1.5"-style tokens for negative numbers and
+# reads "-1e3" as an unknown option; this matcher also takes the exponent
+# form, so "--t0 -1e3" parses like "--t0=-1e3"
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser reading negative numbers in exponent form as values;
+    add_subparsers builds every subparser with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _make_label(args) -> BianchiLabel:
@@ -215,7 +231,7 @@ def _add_flow_flags(sub, t1_default):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oplax",
         description="Operadic Lax pairs, Bianchi deformations, and quantum "
                     "Jacobi operator verification",

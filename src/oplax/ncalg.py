@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
+from operator import add as _add
 
 SYMBOLS = ("lambda", "eps", "h", "omega", "a", "Delta", "p0", "r",
            "x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3")
@@ -30,6 +31,21 @@ _R = _SYM_INDEX["r"]
 _P0 = _SYM_INDEX["p0"]
 _NSYM = len(SYMBOLS)
 _ZERO_EXPS = (0,) * _NSYM
+
+
+def _accumulate(out: dict, key, value):
+    """out[key] += value without seeding the sum with a zero: a new key
+    takes value as it is (callers never pass a zero), and a sum that
+    cancels removes the key."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = value
+        return
+    acc = acc + value
+    if acc:
+        out[key] = acc
+    else:
+        del out[key]
 
 
 def _canon_term(exps: list, coeff: Fraction):
@@ -64,11 +80,7 @@ class CoeffPoly:
             if coeff == 0:
                 continue
             key, c = _canon_term(list(exps), coeff)
-            acc = canon.get(key, 0) + c
-            if acc == 0:
-                canon.pop(key, None)
-            else:
-                canon[key] = acc
+            _accumulate(canon, key, c)
         self.terms = canon
 
     # -- constructors ------------------------------------------------------
@@ -129,13 +141,13 @@ class CoeffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, 0) + coeff
-            if acc == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
+            _accumulate(out, exps, coeff)
         return CoeffPoly(out, _canonical=True)
 
     __radd__ = __add__
@@ -160,16 +172,19 @@ class CoeffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        t1, t2 = self.terms, other.terms
+        if len(t1) == 1 and t1.get(_ZERO_EXPS) == 1:
+            return other
+        if len(t2) == 1 and t2.get(_ZERO_EXPS) == 1:
+            return self
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = [a + b for a, b in zip(e1, e2)]
-                key, c = _canon_term(exps, c1 * c2)
-                acc = out.get(key, 0) + c
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                exps = tuple(map(_add, e1, e2))
+                c = c1 * c2
+                if exps[_R] not in (0, 1):
+                    exps, c = _canon_term(list(exps), c)
+                _accumulate(out, exps, c)
         return CoeffPoly(out, _canonical=True)
 
     __rmul__ = __mul__
@@ -334,11 +349,7 @@ class CommutationTable:
             if c is not None and not c.is_zero:
                 contracted = word[:idx] + word[idx + 2:]
                 for w, cc in self.normal_word(contracted).items():
-                    acc = result.get(w, CoeffPoly.zero()) + c * cc
-                    if acc.is_zero:
-                        result.pop(w, None)
-                    else:
-                        result[w] = acc
+                    _accumulate(result, w, c * cc)
         self._cache[word] = result
         return result
 
@@ -372,11 +383,7 @@ class NCPoly:
                 if letter not in table.order:
                     raise KeyError(f"letter {letter!r} not in alphabet")
             for w, c in table.normal_word(tuple(word)).items():
-                acc = out.get(w, CoeffPoly.zero()) + coeff * c
-                if acc.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
+                _accumulate(out, w, coeff * c)
         self.terms = out
 
     # -- constructors ------------------------------------------------------
@@ -428,13 +435,13 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w, CoeffPoly.zero()) + c
-            if acc.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            _accumulate(out, w, c)
         return NCPoly(self.table, out, _normal=True)
 
     def __neg__(self):
@@ -459,12 +466,7 @@ class NCPoly:
         raw: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                word = w1 + w2
-                acc = raw.get(word, CoeffPoly.zero()) + c1 * c2
-                if acc.is_zero:
-                    raw.pop(word, None)
-                else:
-                    raw[word] = acc
+                _accumulate(raw, w1 + w2, c1 * c2)
         return NCPoly(self.table, raw)
 
     def __rmul__(self, other):

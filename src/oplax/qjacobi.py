@@ -15,6 +15,12 @@ inner bracket of a nested Jacobiator is operator-valued, the placement of
 the structure constant against it matters, so both "left" and "right"
 conventions are implemented and compared against the claimed closed forms.
 
+The Jacobiator is evaluated on vectors with central (scalar) components
+only, as the contraction of the Jacobiator tensor with the coordinates:
+J^i = sum_abc x^a y^b z^c (T^i_abc + T^i_bca + T^i_cab) with
+T^i_abc = sum_k mu^i_ak mu^k_bc in the left convention and
+sum_k mu^k_bc mu^i_ak in the right one (see q_jacobiator).
+
 Scalars sqrt(2H) and omega/(2 sqrt(2H)) are the central symbols h and eps;
 sqrt(2 p0) is the radical r with r^2 = 2 p0.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .bianchi import BianchiType, require_deformable
 from .lax import antisymmetric
@@ -129,16 +135,47 @@ def q_bracket(x: QElement, y: QElement, qsc, conv: str = "left") -> QElement:
 
 def q_jacobiator(x: QElement, y: QElement, z: QElement, qsc,
                  conv: str = "left") -> QElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] with the quantum bracket."""
-    out = None
-    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        term = q_bracket(u, q_bracket(v, w, qsc, conv), qsc, conv)
-        if out is None:
-            out = term
-        else:
-            out = QElement(tuple(a + b for a, b in
-                                 zip(out.components, term.components)))
-    return out
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] with the quantum bracket, for
+    vectors with central (scalar) components.
+
+    Central coordinates factor out of every product, so the Jacobiator is
+    the contraction of the Jacobiator tensor with them:
+
+        J^i = sum_abc x^a y^b z^c (T^i_abc + T^i_bca + T^i_cab),
+        T^i_abc = sum_k mu^i_ak mu^k_bc      (left convention),
+        T^i_abc = sum_k mu^k_bc mu^i_ak      (right convention).
+
+    A component that is not a scalar raises ValueError.
+    """
+    if conv not in ("left", "right"):
+        raise ValueError(f"unknown convention {conv!r}")
+    xs, ys, zs = ([c.scalar_part() for c in e.components] for e in (x, y, z))
+    zero = NCPoly.zero(qsc[0][0][1].table)
+    T = {}
+    for i, a, b, c in product(range(3), repeat=4):
+        acc = zero
+        for k in range(3):
+            outer, inner = qsc[i][a][k], qsc[k][b][c]
+            if outer.is_zero or inner.is_zero:
+                continue
+            acc = acc + (outer * inner if conv == "left" else inner * outer)
+        T[i, a, b, c] = acc
+    # the cyclic sum is the same for the three rotations of (a, b, c), so
+    # it is scaled once by their coordinate monomials summed
+    coords = {}
+    for a, b, c in product(range(3), repeat=3):
+        orbit = min((a, b, c), (b, c, a), (c, a, b))
+        coords[orbit] = (coords.get(orbit, CoeffPoly.zero())
+                          + xs[a] * ys[b] * zs[c])
+    comps = []
+    for i in range(3):
+        acc = zero
+        for (a, b, c), coord in coords.items():
+            cyclic = T[i, a, b, c] + T[i, b, c, a] + T[i, c, a, b]
+            if not cyclic.is_zero and not coord.is_zero:
+                acc = acc + cyclic * coord
+        comps.append(acc)
+    return QElement(tuple(comps))
 
 
 def symbolic_coordinates(table: CommutationTable):

@@ -43,6 +43,42 @@ def test_bad_number_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("code, argv", (
+    (0, ("trajectory", "--t0", "-1e3", "--steps", "2")),
+    (0, ("trajectory", "--t1", "-2.5E1", "--t0", "-.5e1", "--format", "json")),
+    (0, ("deform", "--label", "VIa", "--a", "5e-1", "--t0", "-2e0",
+         "--steps", "3")),
+    (2, ("deform", "--label", "VIIa", "--a", "-5e-1")),
+    (2, ("trajectory", "--omega", "-1e0")),
+    (2, ("trajectory", "--energy", "-2e-1")),
+    (2, ("trajectory", "--steps", "-1e1")),
+    (2, ("verify", "--target", "lax", "--seed", "-1e1")),
+    (2, ("verify", "--target", "lax", "--tol-fd", "-1e-6")),
+    (2, ("spectrum", "--n-max", "-1e2")),
+))
+def test_negative_exponent_form_parses_like_equals_form(capsys, code, argv):
+    joined = []
+    for token in argv:
+        if joined and joined[-1].startswith("--") and token.startswith("-") \
+                and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    spaced = run_cli(capsys, *argv)
+    assert spaced[:2] == run_cli(capsys, *joined)[:2]
+    assert spaced[0] == code and bool(spaced[1]) == (code == 0)
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("value", ("-inf", "-nan", "-1e999", "-Infinity"))
+@pytest.mark.parametrize("flag", ("--t0", "--t1", "--omega", "--energy"))
+def test_negative_non_finite_is_usage_error(capsys, flag, value):
+    for argv in (("trajectory", flag, value), ("trajectory", f"{flag}={value}")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--target", "operad")

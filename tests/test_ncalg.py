@@ -1,12 +1,13 @@
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplax.ncalg import (CoeffPoly, CommutationTable, NCPoly, commutator,
-                         hbar_truncate, quasi_ccr_table)
+from oplax.ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly,
+                         commutator, hbar_truncate, quasi_ccr_table)
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
@@ -141,6 +142,79 @@ class TestCoeffPoly:
         from oplax.ncalg import _R
         for exps in a.terms:
             assert exps[_R] in (0, 1)
+
+
+# -- the kernel against a dense reference ------------------------------------
+
+R, P0 = SYMBOLS.index("r"), SYMBOLS.index("p0")
+KERNEL_SYMBOLS = tuple(SYMBOLS.index(n) for n in ("lambda", "p0", "r", "x1"))
+
+raw_terms = st.dictionaries(
+    st.tuples(*(st.integers(-3, 3) for _ in KERNEL_SYMBOLS)),
+    fractions, max_size=4)
+
+
+def full_exps(small):
+    exps = [0] * len(SYMBOLS)
+    for i, e in zip(KERNEL_SYMBOLS, small):
+        exps[i] = e
+    return tuple(exps)
+
+
+def dense_canon(pairs):
+    """Sum (exps, coeff) pairs with r^2 = 2 p0 applied; zeros dropped."""
+    out = defaultdict(Fraction)
+    for exps, coeff in pairs:
+        exps = list(exps)
+        half = exps[R] // 2
+        exps[R] -= 2 * half
+        exps[P0] += half
+        out[tuple(exps)] += coeff * Fraction(2) ** half
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def dense_mul(a, b):
+    return dense_canon((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                       for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def dense_add(a, b):
+    return dense_canon(list(a.items()) + list(b.items()))
+
+
+def assert_canonical(poly):
+    for exps, coeff in poly.terms.items():
+        assert coeff != 0
+        assert exps[R] in (0, 1)
+
+
+class TestKernelAgainstDenseReference:
+    @given(raw_terms, raw_terms)
+    @settings(max_examples=150, deadline=None)
+    def test_sum_and_product(self, raw1, raw2):
+        raw1 = {full_exps(e): c for e, c in raw1.items()}
+        raw2 = {full_exps(e): c for e, c in raw2.items()}
+        a, b = CoeffPoly(raw1), CoeffPoly(raw2)
+        ref_a, ref_b = dense_canon(raw1.items()), dense_canon(raw2.items())
+        assert a.terms == ref_a and b.terms == ref_b
+        for value, ref in ((a + b, dense_add(ref_a, ref_b)),
+                           (a * b, dense_mul(ref_a, ref_b)),
+                           (a - b, dense_add(ref_a, {e: -c for e, c
+                                                     in ref_b.items()}))):
+            assert value.terms == ref
+            assert_canonical(value)
+
+    @given(raw_terms)
+    @settings(max_examples=100, deadline=None)
+    def test_units_and_negation(self, raw):
+        a = CoeffPoly({full_exps(e): c for e, c in raw.items()})
+        one, zero = CoeffPoly.one(), CoeffPoly.zero()
+        for value in (a * 1, 1 * a, a * one, one * a,
+                      a + 0, 0 + a, a + zero, zero + a):
+            assert value == a and value.terms == a.terms
+            assert_canonical(value)
+        assert (a + (-a)).terms == {}
+        assert ((-a) + a).terms == {}
 
 
 # -- rewriting ----------------------------------------------------------------

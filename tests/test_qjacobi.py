@@ -102,6 +102,43 @@ class TestBracketAndJacobiator:
             qj.QElement((NCPoly.zero(qj.PQ_TABLE),) * 2)
 
 
+CONFIGS = tuple((btype, conv, alphabet) for btype in LABELS
+                for conv in ("left", "right") for alphabet in ("PQ", "qpPQ"))
+
+
+def nested_jacobiator(x, y, z, qsc, conv):
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] from nested q_bracket calls."""
+    total = None
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        term = qj.q_bracket(u, qj.q_bracket(v, w, qsc, conv), qsc, conv)
+        total = term.components if total is None else tuple(
+            a + b for a, b in zip(total, term.components))
+    return total
+
+
+class TestJacobiatorContraction:
+    """The tensor contraction equals the nested brackets it replaces."""
+
+    @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
+    def test_matches_nested_brackets(self, btype, conv, alphabet):
+        table = qj.table_for(alphabet)
+        qsc = qj.q_structure(btype, table)
+        x, y, z = qj.symbolic_coordinates(table)
+        for args in ((x, y, z), (x, y, y), (x, x, x)):
+            contracted = qj.q_jacobiator(*args, qsc, conv).components
+            assert contracted == nested_jacobiator(*args, qsc, conv)
+
+    def test_operator_component_rejected(self):
+        table = qj.PQ_TABLE
+        qsc = qj.q_structure(BianchiType.VIIA, table)
+        x, y, z = qj.symbolic_coordinates(table)
+        P = NCPoly.letter(table, "P")
+        bad = qj.QElement((P,) + x.components[1:])
+        for args in ((bad, y, z), (x, bad, z), (x, y, bad)):
+            with pytest.raises(ValueError):
+                qj.q_jacobiator(*args, qsc)
+
+
 class TestDeterminant:
     def test_unit_coords_give_one(self):
         assert qj.det_poly().substitute(qj._UNIT_COORDS).constant_value() == 1

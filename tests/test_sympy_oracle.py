@@ -1,0 +1,149 @@
+"""An oracle for the quantum layer that shares no arithmetic with ncalg.
+
+Every expected value is computed with sympy's noncommutative symbols P, Q
+and normal-ordered by the rewriting below: each Q*P becomes P*Q -
+lambda*eps, until no term changes.  The single rule's left side QP
+overlaps neither itself nor another left side, and each rewrite lowers the
+number of (Q, P) inversions of a word, so by Bergman's diamond lemma
+(G. M. Bergman, "The diamond lemma for ring theory", Adv. Math. 29 (1978)
+178-218) the rewriting terminates in the same normal form, a combination
+of the words P^m Q^n, whatever the order of the rewrites.
+
+The oplax values are only read, term by term, and rebuilt as sympy
+expressions, with the radical r taken as sqrt(2 p0).
+"""
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+from oplax import qjacobi as qj  # noqa: E402
+from oplax.bianchi import BianchiType  # noqa: E402
+from oplax.ncalg import SYMBOLS  # noqa: E402
+
+P, Q = sp.symbols("P Q", commutative=False)
+LETTERS = {"P": P, "Q": Q}
+SYM = {name: sp.Symbol(name, positive=True) for name in SYMBOLS}
+SYM["lambda"] = sp.Symbol("lambda")  # hbar/i, not a positive real
+SYM["r"] = sp.sqrt(2 * SYM["p0"])
+LAM, EPS, OMEGA, A, DELTA, P0 = (SYM[n] for n in
+                                 ("lambda", "eps", "omega", "a", "Delta",
+                                  "p0"))
+
+P_OP = (P * P - Q * Q) / 2
+OMEGA_Q_OP = (P * Q + Q * P) / 2
+H_OP = (P * P + Q * Q) / 2
+ON_SHELL = {EPS: OMEGA / (2 * P0)}
+
+LABELS = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
+
+
+def letters_of(term) -> list:
+    """The noncommutative factors of one product, powers spelled out."""
+    out = []
+    for factor in term.args_cnc()[1]:
+        base, exp = factor.as_base_exp()
+        out += [base] * int(exp)
+    return out
+
+
+def normal_order(expr):
+    """Rewrite Q*P -> P*Q - lambda*eps until no term changes."""
+    expr = sp.expand(expr)
+    while True:
+        terms, changed = [], False
+        for term in sp.Add.make_args(expr):
+            word = letters_of(term)
+            for i in range(len(word) - 1):
+                if (word[i], word[i + 1]) == (Q, P):
+                    scalar = sp.Mul(*term.args_cnc()[0])
+                    before, after = sp.Mul(*word[:i]), sp.Mul(*word[i + 2:])
+                    term = scalar * before * (P * Q - LAM * EPS) * after
+                    changed = True
+                    break
+            terms.append(term)
+        expr = sp.expand(sp.Add(*terms))
+        if not changed:
+            return expr
+
+
+def scalar_of(c):
+    """A CoeffPoly, read term by term."""
+    return sp.Add(*(sp.Rational(q.numerator, q.denominator)
+                    * sp.Mul(*(SYM[n] ** e for n, e in zip(SYMBOLS, exps)))
+                    for exps, q in c.terms.items()))
+
+
+def operator_of(x):
+    """An NCPoly, read term by term."""
+    return sp.Add(*(scalar_of(c) * sp.Mul(*(LETTERS[w] for w in word))
+                    for word, c in x.terms.items()))
+
+
+def assert_same(got, expected):
+    diff = sp.expand(got - expected)
+    assert diff == 0 or sp.simplify(diff) == 0, (got, expected)
+
+
+def oracle_xi():
+    return (normal_order(OMEGA_Q_OP * Q + (P_OP - P0) * P),
+            normal_order(OMEGA_Q_OP * P - (P_OP + P0) * Q))
+
+
+def oracle_jacobi(btype):
+    """The semiclassical Jacobiator J^{1,2} = -(a Delta / (r p0)) xi^{1,2},
+    J^3 = (a^2 Delta / p0)(PQ - QP), and its form at H = E."""
+    a = 1 if btype is BianchiType.IIIA1 else A
+    coef = -(a * DELTA / (SYM["r"] * P0))
+    j3 = (a * a * DELTA / P0) * normal_order(P * Q - Q * P)
+    semi = [coef * xi for xi in oracle_xi()] + [j3]
+    at_he = []
+    for xi, letter in zip(oracle_xi(), (P, Q)):
+        # xi = letter * H + a part linear in the letters; H = E puts p0
+        # where the energy operator stands
+        rest = normal_order(xi - letter * H_OP)
+        assert all(len(letters_of(t)) <= 1 for t in sp.Add.make_args(rest))
+        at_he.append(coef * sp.expand((rest + letter * P0).subs(ON_SHELL)))
+    at_he.append(j3.subs(ON_SHELL))
+    return semi, at_he
+
+
+def bracket_on_shell(x, y):
+    # the swaps bring fresh eps factors, reduced after ordering
+    return normal_order(x * y - y * x).subs(ON_SHELL)
+
+
+def test_xi_normal_forms():
+    for got, expected in zip(qj.semiclassical_xi(), oracle_xi()):
+        assert_same(operator_of(got), expected)
+
+
+def test_rewriting_reaches_the_ordered_basis():
+    expr = normal_order(Q * Q * P * Q * P)
+    for term in sp.Add.make_args(expr):
+        word = letters_of(term)
+        assert word == sorted(word, key=lambda x: x != P)
+    assert_same(expr, P * P * Q * Q * Q - 5 * LAM * EPS * P * Q * Q
+                + 4 * LAM ** 2 * EPS ** 2 * Q)
+
+
+@pytest.mark.parametrize("btype", LABELS)
+def test_semiclassical_and_h_equals_e_components(btype):
+    semi, at_he = oracle_jacobi(btype)
+    for got, expected in zip(qj.semiclassical_jacobi(btype), semi):
+        assert_same(operator_of(got), expected)
+    for got, expected in zip(qj.corollary_HE(btype), at_he):
+        assert_same(operator_of(got), expected)
+
+
+@pytest.mark.parametrize("btype", LABELS)
+def test_derivative_algebra_constants(btype):
+    j1, j2, j3 = oracle_jacobi(btype)[1]
+    C = sp.simplify(bracket_on_shell(j1, j2) / j3)
+    e1, e2, e3 = -DELTA * j3, -DELTA * j1, -DELTA * j2
+    beta_sq = sp.simplify(bracket_on_shell(e2, e3) / e1)
+    assert_same(C, LAM ** 2 * OMEGA ** 2 * DELTA / (32 * P0 ** 4))
+    assert_same(beta_sq, -C * DELTA)
+    da = qj.derivative_algebra(btype)
+    assert_same(scalar_of(da.C), C)
+    assert_same(scalar_of(da.beta_sq), beta_sq)
