@@ -176,7 +176,7 @@ def cmd_jacobi(args) -> int:
     theorem = qj.verify_theorem_q(btype, args.convention, alphabet)
     semi = qj.semiclassical_jacobi(btype)
     cor = qj.corollary_HE(btype)
-    da = qj.derivative_algebra(btype)
+    da = qj.derivative_algebra(btype, cor)
 
     obj = {
         "label": args.label,

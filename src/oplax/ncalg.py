@@ -239,7 +239,8 @@ class CoeffPoly:
             idx = _SYM_INDEX[name]
             values[idx] = val if isinstance(val, CoeffPoly) \
                 else CoeffPoly.number(val)
-        out = CoeffPoly.zero()
+        powers: dict = {}
+        out: dict = {}
         for exps, coeff in self.terms.items():
             kept = list(exps)
             factor = CoeffPoly.number(coeff)
@@ -248,9 +249,17 @@ class CoeffPoly:
                 if e == 0:
                     continue
                 kept[idx] = 0
-                factor = factor * (val ** e)
-            out = out + factor * CoeffPoly({tuple(kept): 1})
-        return out
+                power = powers.get((idx, e))
+                if power is None:
+                    power = powers[idx, e] = val ** e
+                factor = factor * power
+            # factor times the monomial of the kept exponents, term by term
+            for e1, c1 in factor.terms.items():
+                key = tuple(map(_add, e1, kept))
+                if key[_R] not in (0, 1):
+                    key, c1 = _canon_term(list(key), c1)
+                _accumulate(out, key, c1)
+        return CoeffPoly(out, _canonical=True)
 
     def truncate_symbol(self, name: str, k: int) -> "CoeffPoly":
         """Drop terms where `name` appears with exponent > k."""

@@ -393,16 +393,19 @@ def _reduce_he(x: NCPoly) -> NCPoly:
     return x.substitute_symbols({"eps": _H_EQ_E["eps"]})
 
 
-def derivative_algebra(btype: BianchiType) -> DerivativeAlgebraReport:
+def derivative_algebra(btype: BianchiType,
+                       components: list[NCPoly] | None = None
+                       ) -> DerivativeAlgebraReport:
     """Commutators of the H = E Jacobiator components.
 
     [J1, J3] = 0 = [J2, J3] and [J1, J2] = C J3 with
     C = lambda^2 omega^2 Delta / (32 p0^4); the basis e1 = -Delta J3,
     e2 = -Delta J1, e3 = -Delta J2 then satisfies [e2, e3] = beta^2 e1 with
     beta^2 = -C Delta, i.e. the Heisenberg table up to the beta scaling
-    (removed by dividing e2, e3 by beta).
+    (removed by dividing e2, e3 by beta).  components, when given, are
+    corollary_HE(btype) as the caller already computed them.
     """
-    j1, j2, j3 = corollary_HE(btype)
+    j1, j2, j3 = corollary_HE(btype) if components is None else components
     br12 = _reduce_he(commutator(j1, j2))
     br13 = _reduce_he(commutator(j1, j3))
     br23 = _reduce_he(commutator(j2, j3))

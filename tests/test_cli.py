@@ -253,6 +253,21 @@ class TestJacobi:
         assert "alphabet=qpPQ" in out
         assert "J^1 theorem exact" in out
 
+    def test_h_equals_e_components_computed_once(self, capsys, monkeypatch):
+        """derivative_algebra reuses the components cmd_jacobi printed."""
+        import oplax.qjacobi as qj
+        real, calls = qj.corollary_HE, []
+
+        def counted(btype):
+            calls.append(btype)
+            return real(btype)
+
+        monkeypatch.setattr(qj, "corollary_HE", counted)
+        code, out, _ = run_cli(capsys, "jacobi", "--label", "VIa",
+                               "--format", "json")
+        assert code == 0 and json.loads(out)["heisenberg"] is True
+        assert calls == [BianchiType.VIA]
+
     def test_type_ii_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "jacobi", "--label", "II")
         assert code == 2

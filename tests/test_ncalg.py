@@ -18,14 +18,15 @@ EPS = CoeffPoly.symbol("eps")
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 symbol_names = st.sampled_from(("lambda", "eps", "omega", "a", "p0", "r"))
+few_names = st.sampled_from(("eps", "p0", "r"))
 
 
 @st.composite
-def coeff_polys(draw):
+def coeff_polys(draw, names=symbol_names):
     n = draw(st.integers(0, 3))
     poly = CoeffPoly.zero()
     for _ in range(n):
-        powers = draw(st.dictionaries(symbol_names,
+        powers = draw(st.dictionaries(names,
                                       st.integers(-2, 3), max_size=3))
         poly = poly + CoeffPoly.monomial(draw(fractions), powers)
     return poly
@@ -47,6 +48,25 @@ def nc_polys(draw):
 
 
 # -- scalar ring --------------------------------------------------------------
+
+
+def substitute_term_by_term(poly, mapping):
+    """CoeffPoly.substitute as first written: every power by repeated
+    multiplication, every term added to a fresh copy of the sum."""
+    values = {SYMBOLS.index(name): val if isinstance(val, CoeffPoly)
+              else CoeffPoly.number(val) for name, val in mapping.items()}
+    out = CoeffPoly.zero()
+    for exps, coeff in poly.terms.items():
+        kept = list(exps)
+        factor = CoeffPoly.number(coeff)
+        for idx, val in values.items():
+            e = kept[idx]
+            if e == 0:
+                continue
+            kept[idx] = 0
+            factor = factor * (val ** e)
+        out = out + factor * CoeffPoly({tuple(kept): 1})
+    return out
 
 
 class TestCoeffPoly:
@@ -97,6 +117,13 @@ class TestCoeffPoly:
         assert out == CoeffPoly.monomial(Fraction(1, 2),
                                          {"omega": 1, "p0": -1})
 
+    def test_substitute_reduces_r_and_drops_cancelled_terms(self):
+        r = CoeffPoly.symbol("r")
+        assert (r * EPS).substitute({"eps": r}).terms \
+            == CoeffPoly.monomial(2, {"p0": 1}).terms
+        p0 = CoeffPoly.symbol("p0")
+        assert (EPS + p0).substitute({"eps": -p0}).terms == {}
+
     def test_truncate_symbol(self):
         p = CoeffPoly.one() + LAM + LAM * LAM
         assert p.truncate_symbol("lambda", 1) == CoeffPoly.one() + LAM
@@ -135,6 +162,23 @@ class TestCoeffPoly:
         assert a + CoeffPoly.zero() == a
         assert a * CoeffPoly.one() == a
         assert a - a == CoeffPoly.zero()
+
+    @given(coeff_polys(few_names),
+           st.dictionaries(few_names,
+                           st.one_of(fractions, coeff_polys(few_names)),
+                           max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_substitute_matches_term_by_term(self, poly, mapping):
+        """Same terms in the same order as the term-by-term algorithm; few
+        symbols, so that products meet r^2 and terms cancel."""
+        try:
+            want = substitute_term_by_term(poly, mapping)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                poly.substitute(mapping)
+            return
+        got = poly.substitute(mapping)
+        assert list(got.terms.items()) == list(want.terms.items())
 
     @given(coeff_polys())
     @settings(max_examples=60, deadline=None)

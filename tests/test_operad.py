@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from oplax import suites
 from oplax.operad import (DimensionMismatchError, InvalidOperationError,
-                          MultiOp, apply_op, gerstenhaber, identity_op,
-                          partial_compose, total_compose)
+                          MultiOp, _bracket, _partial, _total, apply_op,
+                          gerstenhaber, identity_op, partial_compose,
+                          total_compose)
 
 
 def random_op(rng, dim, degree=None, max_degree=3):
@@ -143,6 +145,29 @@ class TestBitwise:
             assert np.array_equal(gerstenhaber(f, g).coeffs,
                                   fg - sign * gf), (dim, nf, ng)
 
+    @pytest.mark.parametrize("batch", (1, 2, 7))
+    def test_stacked_kernel_matches_per_sample_bitwise(self, batch):
+        """A leading batch axis composes each sample as the public API does,
+        bit for bit."""
+        rng = np.random.default_rng(15 + batch)
+        for dim, nf, ng in ALL_SHAPES:
+            F = rng.uniform(-1, 1, (batch,) + (dim,) * (nf + 1))
+            G = rng.uniform(-1, 1, (batch,) + (dim,) * (ng + 1))
+            partials = [_partial(F, nf, G, ng, i) for i in range(nf)]
+            total = _total(F, nf, G, ng)
+            bracket = _bracket(F, nf, G, ng)
+            for b in range(batch):
+                f, g = MultiOp(nf, dim, F[b]), MultiOp(ng, dim, G[b])
+                where = (dim, nf, ng, b)
+                for i in range(nf):
+                    assert np.array_equal(partials[i][b],
+                                          partial_compose(f, g, i).coeffs), \
+                        where + (i,)
+                assert np.array_equal(total[b],
+                                      total_compose(f, g).coeffs), where
+                assert np.array_equal(bracket[b],
+                                      gerstenhaber(f, g).coeffs), where
+
     def test_small_integers_match_brute_force_exactly(self):
         rng = np.random.default_rng(14)
         for dim, nf, ng in ALL_SHAPES:
@@ -225,3 +250,50 @@ class TestGerstenhaber:
             scale = max(1.0, float(np.max(np.abs(t1))),
                         float(np.max(np.abs(t2))), float(np.max(np.abs(t3))))
             assert np.max(np.abs(t1 + t2 + t3)) / scale <= 1e-9
+
+
+def reference_operad_residuals(seed, samples):
+    """The per-sample loop of the operad suite before it was batched."""
+    rng = np.random.default_rng(seed)
+    worst_deg, worst_anti, worst_jacobi = True, 0.0, 0.0
+    for _ in range(samples):
+        dim = int(rng.integers(1, 4))
+        f, g, h = (random_op(rng, dim) for _ in range(3))
+
+        fg = gerstenhaber(f, g)
+        worst_deg &= fg.degree == f.degree + g.reduced_degree
+        worst_deg &= (total_compose(f, g).degree
+                      == f.degree + g.reduced_degree)
+
+        sign = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
+        anti = np.max(np.abs(fg.coeffs + sign * gerstenhaber(g, f).coeffs))
+        worst_anti = max(worst_anti, float(anti))
+
+        def ssign(u, v):
+            return -1.0 if (u.reduced_degree * v.reduced_degree) % 2 else 1.0
+
+        t1 = ssign(f, h) * gerstenhaber(f, gerstenhaber(g, h)).coeffs
+        t2 = ssign(g, f) * gerstenhaber(g, gerstenhaber(h, f)).coeffs
+        t3 = ssign(h, g) * gerstenhaber(h, gerstenhaber(f, g)).coeffs
+        scale = max(np.max(np.abs(t1)), np.max(np.abs(t2)),
+                    np.max(np.abs(t3)), 1.0)
+        worst_jacobi = max(worst_jacobi,
+                           float(np.max(np.abs(t1 + t2 + t3)) / scale))
+    return worst_deg, worst_anti, worst_jacobi
+
+
+class TestBatchedSuite:
+    @pytest.mark.parametrize("seed", (3, 2024))
+    @pytest.mark.parametrize("batch_bytes", (1, None, 1 << 30))
+    def test_suite_equals_per_sample_loop(self, monkeypatch, seed,
+                                          batch_bytes):
+        """Any stacking budget (one sample per stack, the default, one
+        stack per dim and degrees) gives the per-sample residuals."""
+        if batch_bytes is not None:
+            monkeypatch.setattr(suites, "BATCH_BYTES", batch_bytes)
+        cases = {c.case_id: c for c in suites.operad_suite(seed, 300).cases}
+        deg, anti, jacobi = reference_operad_residuals(seed, 300)
+        assert cases["degree_bookkeeping"].passed is deg is True
+        assert cases["graded_antisymmetry"].residual == anti
+        assert cases["graded_jacobi_relative"].residual == jacobi
+        assert jacobi > 0.0
