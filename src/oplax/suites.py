@@ -65,8 +65,8 @@ def operad_suite(seed: int = 42, samples: int = 1000,
         nonlocal worst_deg, worst_anti, worst_jacobi, queued_bytes
         queued_bytes -= backlog(key)
         deg_ok, anti, jacobi = graded_lie_residuals(
-            *(np.frombuffer(q).reshape((-1,) + shape)
-              for q, shape in zip(queues.pop(key), key)))
+            *[np.frombuffer(q).reshape((-1,) + shape)
+              for q, shape in zip(queues.pop(key), key)])
         worst_deg &= deg_ok
         worst_anti = max(worst_anti, anti)
         worst_jacobi = max(worst_jacobi, jacobi)
@@ -74,7 +74,9 @@ def operad_suite(seed: int = 42, samples: int = 1000,
     for _ in range(samples):
         dim = int(rng.integers(1, 4))
         sample = [_random_coeffs(rng, dim) for _ in range(3)]
-        key = tuple(c.shape for c in sample)
+        # tuple(generator) resizes the tuple it builds, and CPython keeps
+        # such 3-tuples on its free list; a list builds it at its size
+        key = tuple([c.shape for c in sample])
         queue = queues.get(key)
         if queue is None:
             queue = queues[key] = (bytearray(), bytearray(), bytearray())
