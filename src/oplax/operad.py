@@ -217,8 +217,8 @@ def graded_lie_residuals(F: np.ndarray, G: np.ndarray,
     del gf
 
     jac = scale = None
-    for x, y, z in ((F, G, H), (G, H, F), (H, F, G)):
-        term = bracket(x, fg if y is F else bracket(y, z))
+    for k, (x, y, z) in enumerate(((F, G, H), (G, H, F), (H, F, G))):
+        term = bracket(x, fg if k == 2 else bracket(y, z))
         if jac is None:
             jac, scale = term, _absmax(term)
             if odd(x, z):

@@ -6,8 +6,8 @@ import pytest
 from oplax import suites
 from oplax.operad import (DimensionMismatchError, InvalidOperationError,
                           MultiOp, _bracket, _partial, _total, apply_op,
-                          gerstenhaber, identity_op, partial_compose,
-                          total_compose)
+                          gerstenhaber, graded_lie_residuals, identity_op,
+                          partial_compose, total_compose)
 
 
 def random_op(rng, dim, degree=None, max_degree=3):
@@ -283,6 +283,15 @@ def reference_operad_residuals(seed, samples):
 
 
 class TestBatchedSuite:
+    def test_residuals_do_not_depend_on_array_identity(self):
+        """The same stack passed as f and g is composed like a copy."""
+        rng = np.random.default_rng(16)
+        F = rng.uniform(-1, 1, (4, 2, 2, 2))
+        H = rng.uniform(-1, 1, (4, 2, 2))
+        assert graded_lie_residuals(F, F, H) \
+            == graded_lie_residuals(F, F.copy(), H)
+
+
     @pytest.mark.parametrize("seed", (3, 2024))
     @pytest.mark.parametrize("batch_bytes", (1, None, 1 << 30))
     def test_suite_equals_per_sample_loop(self, monkeypatch, seed,
