@@ -54,6 +54,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is negative")
+    return value
+
+
 # argparse takes only "-1"- and "-1.5"-style tokens for negative numbers and
 # reads "-1e3" as an unknown option; this matcher also takes the exponent
 # form, so "--t0 -1e3" parses like "--t0=-1e3"
@@ -239,10 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     v = subs.add_parser("verify", help="run verification suites")
-    v.add_argument("--target",
-                   choices=("all", "operad", "lax", "bianchi", "quantum"),
-                   default="all")
-    v.add_argument("--seed", type=int, default=42)
+    v.add_argument("--target", choices=("all", *ALL_SUITES), default="all")
+    v.add_argument("--seed", type=_seed, default=42)
     v.add_argument("--tol-fd", type=_tolerance, default=1e-6,
                    help="finite-difference residual tolerance")
     v.add_argument("--tol-exact-float", type=_tolerance, default=1e-12,

@@ -393,8 +393,7 @@ def _reduce_he(x: NCPoly) -> NCPoly:
     return x.substitute_symbols({"eps": _H_EQ_E["eps"]})
 
 
-def derivative_algebra(btype: BianchiType,
-                       components: list[NCPoly] | None = None
+def derivative_algebra(btype: BianchiType, components: list[NCPoly]
                        ) -> DerivativeAlgebraReport:
     """Commutators of the H = E Jacobiator components.
 
@@ -402,10 +401,10 @@ def derivative_algebra(btype: BianchiType,
     C = lambda^2 omega^2 Delta / (32 p0^4); the basis e1 = -Delta J3,
     e2 = -Delta J1, e3 = -Delta J2 then satisfies [e2, e3] = beta^2 e1 with
     beta^2 = -C Delta, i.e. the Heisenberg table up to the beta scaling
-    (removed by dividing e2, e3 by beta).  components, when given, are
-    corollary_HE(btype) as the caller already computed them.
+    (removed by dividing e2, e3 by beta).  components are corollary_HE(btype)
+    as the caller already computed them.
     """
-    j1, j2, j3 = corollary_HE(btype) if components is None else components
+    j1, j2, j3 = components
     br12 = _reduce_he(commutator(j1, j2))
     br13 = _reduce_he(commutator(j1, j3))
     br23 = _reduce_he(commutator(j2, j3))

@@ -336,7 +336,7 @@ def quantum_suite(seed: int = 42) -> SuiteReport:
         rep.add(f"corollary_HE_{tag}",
                 all(c == e for c, e in zip(cor, expect)))
 
-        da = qj.derivative_algebra(btype)
+        da = qj.derivative_algebra(btype, cor)
         c_expected = (lam * lam * CoeffPoly.symbol("omega", 2)
                       * CoeffPoly.symbol("Delta")
                       * CoeffPoly.monomial(Fraction(1, 32), {"p0": -4}))

@@ -1,304 +1,47 @@
-"""End-to-end acceptance checks.
+"""End-to-end acceptance: every verification suite at fixed seeds.
 
-Each test covers one verification target at its stated tolerance and prints
-a single pass/fail line so the suite doubles as a human-readable report:
-
-  1. graded antisymmetry and Jacobi of the operadic bracket,
-  2. matrix Lax equation by finite differences,
-  3. operadic Lax equation, analytic and finite-difference modes,
-  4. deformation closed forms plus the exact parameter round trip,
-  5. classical on-shell Jacobi identity for deformed algebras,
-  6. the Poisson bracket {P, Q} = omega / (2 sqrt(2H)),
-  7. exact semiclassical operator identities and their H = E reduction,
-  8. the derivative-algebra constants and Heisenberg identification,
-  9. the spectrum-selected determinant values,
- 10. machine check of the quantum Jacobi operator closed forms (two-branch:
-     exact certification or a structured residual report).
+The checks live in ``oplax.suites``, the code ``oplax verify`` runs; this
+file only runs them.  Each run prints the suite's report, one PASS/FAIL
+line per case (shown by ``pytest -s``), and must report exactly the
+expected cases, all passing, within the wall-time gate.
 """
 
-import math
 import time
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from oplax import qjacobi as qj
-from oplax.bianchi import (BianchiLabel, BianchiType, classical_jacobiator,
-                           deformation_closed_form, dynamical_deformation,
-                           structure_constants)
-from oplax.lax import (OperadicParams, _exact_sqrt, build_mu, solve_C,
-                       verify_matrix_lax, verify_operadic_lax)
-from oplax.ncalg import CoeffPoly, NCPoly
-from oplax.operad import MultiOp, gerstenhaber
-from oplax.oscillator import HOParams, PhasePoint, poisson_bracket, \
-    quasi_from_phase
+from oplax.suites import ALL_SUITES
+
+LABELS = ("VIIa", "IIIa1", "VIa")
+
+CASES = {
+    "operad": {"degree_bookkeeping", "graded_antisymmetry",
+               "graded_jacobi_relative"},
+    "lax": {"phase_constraints", "quasi_canonical_velocities", "poisson_PQ",
+            "matrix_lax_fd", "operadic_lax_analytic", "operadic_lax_fd",
+            "unary_bracket_is_commutator"},
+    "bianchi": {"deformation_closed_forms", "solve_build_roundtrip_exact",
+                "classical_jacobi_on_shell", "antisymmetry",
+                "jacobiator_alternation", "jacobiator_multilinearity"},
+    "quantum": {"xi1_exact_identity", "xi2_exact_identity",
+                "spectrum_determinant", "jacobi_theorem_machine_check"}
+    | {f"{case}_{tag}" for tag in LABELS
+       for case in ("semiclassical_hform", "corollary_HE", "derivative_C",
+                    "derivative_C_a_free", "derivative_beta_sq",
+                    "derivative_brackets", "heisenberg_identification")}
+    | {f"jacobi_delta_divisible_{tag}_{conv}_{alphabet}" for tag in LABELS
+       for conv in ("left", "right") for alphabet in ("PQ", "qpPQ")},
+}
 
 
-def report(name: str, ok: bool, detail: str = ""):
-    status = "PASS" if ok else "FAIL"
-    suffix = f" ({detail})" if detail else ""
-    print(f"[{status}] {name}{suffix}")
-
-
-def random_multiop(rng, dim, degree) -> MultiOp:
-    shape = (dim,) * (degree + 1)
-    return MultiOp(degree, dim, rng.uniform(-1, 1, size=shape))
-
-
-DEFORM_LABELS = (
-    BianchiLabel(BianchiType.VIIA, 0.5),
-    BianchiLabel(BianchiType.VIIA, 1.0),
-    BianchiLabel(BianchiType.VIIA, 2.0),
-    BianchiLabel(BianchiType.IIIA1),
-    BianchiLabel(BianchiType.VIA, 0.5),
-    BianchiLabel(BianchiType.VIA, 2.0),
-)
-
-
-def test_01_graded_lie_structure():
-    rng = np.random.default_rng(1001)
+@pytest.mark.parametrize("name, seed", (
+    ("operad", 1001), ("lax", 1003), ("lax", 1006),
+    ("bianchi", 1004), ("bianchi", 1005), ("quantum", 42)))
+def test_suite(name, seed):
     start = time.monotonic()
-    worst_anti, worst_jac = 0.0, 0.0
-    for _ in range(1000):
-        dim = int(rng.integers(1, 4))
-        df, dg, dh = (int(rng.integers(1, 4)) for _ in range(3))
-        f = random_multiop(rng, dim, df)
-        g = random_multiop(rng, dim, dg)
-        h = random_multiop(rng, dim, dh)
-        fg = gerstenhaber(f, g)
-        gf = gerstenhaber(g, f)
-        sign = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
-        scale = max(1.0, float(np.max(np.abs(fg.coeffs))))
-        worst_anti = max(worst_anti, float(
-            np.max(np.abs(fg.coeffs + sign * gf.coeffs))) / scale)
-
-        sf, sg, sh = f.reduced_degree, g.reduced_degree, h.reduced_degree
-        t1 = gerstenhaber(f, gerstenhaber(g, h)).coeffs
-        t2 = (-1.0 if (sf * (sg + sh)) % 2 else 1.0) \
-            * gerstenhaber(g, gerstenhaber(h, f)).coeffs
-        t3 = (-1.0 if (sh * (sf + sg)) % 2 else 1.0) \
-            * gerstenhaber(h, gerstenhaber(f, g)).coeffs
-        scale = max(1.0, float(np.max(np.abs(t1))),
-                    float(np.max(np.abs(t2))), float(np.max(np.abs(t3))))
-        worst_jac = max(worst_jac,
-                        float(np.max(np.abs(t1 + t2 + t3))) / scale)
+    report = ALL_SUITES[name](seed=seed)
     elapsed = time.monotonic() - start
-    ok = worst_anti <= 1e-9 and worst_jac <= 1e-9 and elapsed < 10.0
-    report("criterion 1: graded Lie structure of the operadic bracket", ok,
-           f"antisymmetry {worst_anti:.2e}, jacobi {worst_jac:.2e}, "
-           f"{elapsed:.1f}s, tol 1e-9 relative on 1000 triples")
-    assert ok
-
-
-def test_02_matrix_lax_equation():
-    worst = 0.0
-    for w in (0.5, 1.0, 2.0):
-        for E in (0.5, 1.0, 2.0):
-            params = HOParams.from_energy(omega=w, energy=E)
-            for t in np.linspace(0.0, 4 * math.pi / w, 100):
-                rep = verify_matrix_lax(params, float(t), dt=1e-5)
-                worst = max(worst, rep.residual)
-    ok = worst <= 1e-6
-    report("criterion 2: matrix Lax equation dL/dt = ML - LM", ok,
-           f"max residual {worst:.2e}, tol 1e-6, 9 (omega, E) pairs x 100 t")
-    assert ok
-
-
-def test_03_operadic_lax_equation():
-    rng = np.random.default_rng(1003)
-    worst_an, worst_fd = 0.0, 0.0
-    n_admissible = 0
-    while n_admissible < 100:
-        C = OperadicParams.from_sequence(rng.uniform(-2, 2, size=9))
-        if not C.admissible:
-            continue
-        n_admissible += 1
-        params = HOParams(omega=float(rng.uniform(0.5, 2.0)),
-                          p0=float(rng.uniform(0.5, 2.0)))
-        for t in rng.uniform(0.0, 10.0, size=20):
-            worst_an = max(worst_an, verify_operadic_lax(
-                C, params, float(t), mode="analytic").residual)
-        worst_fd = max(worst_fd, verify_operadic_lax(
-            C, params, float(rng.uniform(0.0, 10.0)), mode="fd").residual)
-    ok = worst_an <= 1e-12 and worst_fd <= 1e-6
-    report("criterion 3: operadic Lax equation dmu/dt = [M, mu]", ok,
-           f"analytic {worst_an:.2e} <= 1e-12, fd {worst_fd:.2e} <= 1e-6, "
-           f"100 C x 20 t")
-    assert ok
-
-
-def test_04_deformation_table_and_exact_roundtrip():
-    worst = 0.0
-    for label in DEFORM_LABELS:
-        for w, p0 in ((1.3, 0.9), (0.7, 1.8)):
-            params = HOParams(omega=w, p0=p0)
-            for t in np.linspace(0.0, 4 * math.pi / w, 100):
-                gen = dynamical_deformation(label, params, float(t)).array
-                closed = deformation_closed_form(label, params,
-                                                 float(t)).array
-                worst = max(worst, float(np.max(np.abs(gen - closed))))
-    table_ok = worst <= 1e-12
-
-    rng = np.random.default_rng(1004)
-    roundtrip_ok = True
-    for p0 in (Fraction(1, 2), Fraction(2), Fraction(8), Fraction(9, 2)):
-        r = _exact_sqrt(2 * p0)
-        ho = HOParams(omega=Fraction(1), p0=p0)
-        pt = PhasePoint(t=Fraction(0), q=Fraction(0), p=p0,
-                        Q=Fraction(0), P=r, H=p0 * p0 / 2)
-        for label in (BianchiLabel(BianchiType.VIIA, Fraction(1, 2)),
-                      BianchiLabel(BianchiType.IIIA1),
-                      BianchiLabel(BianchiType.VIA, Fraction(2))):
-            sc = structure_constants(label).array.tolist()
-            roundtrip_ok &= (build_mu(solve_C(sc, p0), ho, pt) == sc)
-        for _ in range(25):
-            m = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-            for i in range(3):
-                for (j, k) in ((0, 1), (0, 2), (1, 2)):
-                    v = Fraction(int(rng.integers(-9, 10)),
-                                 int(rng.integers(1, 7)))
-                    m[i][j][k] = v
-                    m[i][k][j] = -v
-            roundtrip_ok &= (build_mu(solve_C(m, p0), ho, pt) == m)
-    ok = table_ok and roundtrip_ok
-    report("criterion 4: deformation closed forms + exact round trip", ok,
-           f"closed-form deviation {worst:.2e} <= 1e-12, round trip "
-           f"{'exact' if roundtrip_ok else 'NOT exact'} on rational inputs")
-    assert ok
-
-
-def test_05_classical_on_shell_jacobi():
-    rng = np.random.default_rng(1005)
-    params = HOParams(omega=1.3, p0=0.9)
-    worst_ratio = 0.0
-    for label in DEFORM_LABELS:
-        for t in np.linspace(0.0, 9.0, 20):
-            sc = dynamical_deformation(label, params, float(t))
-            for _ in range(10):
-                x, y, z = rng.uniform(-2, 2, size=(3, 3))
-                bound = 1e-10 * max(1.0, np.linalg.norm(x)
-                                    * np.linalg.norm(y) * np.linalg.norm(z))
-                res = float(np.max(np.abs(classical_jacobiator(sc, x, y, z))))
-                worst_ratio = max(worst_ratio, res / bound)
-    ok = worst_ratio <= 1.0
-    report("criterion 5: classical Jacobi identity along the flow", ok,
-           f"max residual / (1e-10 * norms) = {worst_ratio:.2e}")
-    assert ok
-
-
-def test_06_poisson_bracket_PQ():
-    rng = np.random.default_rng(1006)
-    worst = 0.0
-    for _ in range(100):
-        w = float(rng.uniform(0.5, 2.0))
-        params = HOParams(omega=w, p0=1.0)
-        H = float(rng.uniform(0.1, 10.0))
-        s = math.sqrt(2 * H)
-        theta = float(rng.uniform(-0.85 * math.pi, 0.85 * math.pi))
-        q, p = s * math.sin(theta) / w, s * math.cos(theta)
-
-        def P(q_, p_):
-            return quasi_from_phase(params, q_, p_)[1]
-
-        def Q(q_, p_):
-            return quasi_from_phase(params, q_, p_)[0]
-
-        val = poisson_bracket(P, Q, (q, p))
-        worst = max(worst, abs(val - w / (2 * s)))
-    ok = worst <= 1e-5
-    report("criterion 6: Poisson bracket {P, Q} = omega / (2 sqrt(2H))", ok,
-           f"max deviation {worst:.2e}, tol 1e-5, 100 non-branch points")
-    assert ok
-
-
-def test_07_exact_semiclassical_identities():
-    xi1, xi2 = qj.semiclassical_xi()
-    h1, h2 = qj.xi_hform()
-    xi_ok = (qj.expand_energy_symbol(h1) == xi1
-             and qj.expand_energy_symbol(h2) == xi2)
-
-    lam = CoeffPoly.symbol("lambda")
-    cor_ok = True
-    for btype in (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA):
-        cor = qj.corollary_HE(btype)
-        a = CoeffPoly.one() if btype is BianchiType.IIIA1 \
-            else CoeffPoly.symbol("a")
-        coef = (lam * a * CoeffPoly.symbol("Delta")
-                * CoeffPoly.symbol("omega")
-                * CoeffPoly.monomial(Fraction(1, 4), {"r": -1, "p0": -2}))
-        expected = [
-            NCPoly(qj.PQ_TABLE, {("Q",): -coef}),
-            NCPoly(qj.PQ_TABLE, {("P",): coef}),
-            NCPoly.scalar(qj.PQ_TABLE,
-                          lam * a * a * CoeffPoly.symbol("Delta")
-                          * CoeffPoly.symbol("omega")
-                          * CoeffPoly.monomial(Fraction(1, 2), {"p0": -2})),
-        ]
-        cor_ok &= all(c == e for c, e in zip(cor, expected))
-    ok = xi_ok and cor_ok
-    report("criterion 7: exact semiclassical operator identities", ok,
-           f"xi identities {'exact' if xi_ok else 'MISMATCH'}, H=E "
-           f"reduction {'exact' if cor_ok else 'MISMATCH'} (zero tolerance)")
-    assert ok
-
-
-def test_08_derivative_algebra_constants():
-    expected_C = (CoeffPoly.symbol("lambda", 2)
-                  * CoeffPoly.symbol("omega", 2)
-                  * CoeffPoly.symbol("Delta")
-                  * CoeffPoly.monomial(Fraction(1, 32), {"p0": -4}))
-    ok = True
-    for btype in (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA):
-        da = qj.derivative_algebra(btype)
-        ok &= (da.C == expected_C)
-        ok &= not da.C.contains("a")
-        ok &= (da.beta_sq == -(da.C * CoeffPoly.symbol("Delta")))
-        ok &= da.bracket_13_zero and da.bracket_23_zero
-        ok &= da.bracket_12_matches
-        ok &= da.heisenberg_ok
-    report("criterion 8: derivative-algebra constants C, beta^2, "
-           "Heisenberg identification", ok,
-           "C = lambda^2 omega^2 Delta / (32 p0^4), a-free, exact")
-    assert ok
-
-
-def test_09_spectrum_determinant():
-    worst = 0.0
-    for n in range(11):
-        worst = max(worst, abs(qj.spectrum_determinant(n)
-                               - 4 * math.sqrt(2) * (2 * n + 1)))
-    n0 = qj.spectrum_determinant(0)
-    ok = worst <= 1e-12 and abs(n0 - 5.65685424949238) <= 1e-12
-    report("criterion 9: spectrum determinant |Delta|(n) = 4 sqrt(2)(2n+1)",
-           ok, f"max deviation {worst:.2e} for n <= 10, n=0 -> {n0:.6f}")
-    assert ok
-
-
-def test_10_quantum_jacobi_theorem_two_branch():
-    results = {}
-    for btype in (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA):
-        for conv in ("left", "right"):
-            for alphabet in ("PQ", "qpPQ"):
-                rep = qj.verify_theorem_q(btype, conv, alphabet)
-                results[(btype.value, conv, alphabet)] = rep
-    exact_configs = sorted({(conv, alph)
-                            for (_, conv, alph), r in results.items()
-                            if r.all_exact})
-    # every configuration must at least be divisible by the determinant
-    divisible_ok = all(all(r.delta_divisible) for r in results.values())
-    ok = bool(exact_configs) and divisible_ok
-    detail = ("certified exact for " + ", ".join(
-        f"{c}/{a}" for c, a in exact_configs)
-        + "; determinant divisibility holds in all 12 configurations")
-    if not exact_configs:
-        detail = "no exact configuration; structured residuals recorded"
-    report("criterion 10: quantum Jacobi operator closed forms "
-           "(machine check)", ok, detail)
-    assert divisible_ok
-    # the good branch: at least one configuration certifies exactly
-    assert exact_configs, "no (convention, alphabet) configuration is exact"
-    # and the certified set is stable: the left convention works for both
-    # alphabets
-    assert ("left", "PQ") in exact_configs
-    assert ("left", "qpPQ") in exact_configs
+    print(report.render_text())
+    assert sorted(c.case_id for c in report.cases) == sorted(CASES[name])
+    assert report.passed
+    assert elapsed < 10.0

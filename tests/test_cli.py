@@ -31,6 +31,8 @@ def parse_csv(text):
      "--format", "json"),
     ("verify", "--target", "lax", "--tol-fd", "-1e-6"),
     ("verify", "--target", "lax", "--tol-exact-float", "nan"),
+    ("verify", "--seed", "-1"),
+    ("verify", "--target", "quantum", "--seed", "-1"),
     # finite flags whose derived p0, phase omega*t or rows overflow
     ("trajectory", "--omega", "1e308", "--t1", "1e10", "--steps", "2"),
     ("trajectory", "--energy", "1e308", "--format", "json"),

@@ -242,7 +242,7 @@ class TestCorollaryHE:
 class TestDerivativeAlgebra:
     @pytest.mark.parametrize("btype", LABELS)
     def test_heisenberg_reduction(self, btype):
-        da = qj.derivative_algebra(btype)
+        da = qj.derivative_algebra(btype, qj.corollary_HE(btype))
         expected_C = (LAM * LAM * CoeffPoly.symbol("omega", 2)
                       * CoeffPoly.symbol("Delta")
                       * CoeffPoly.monomial(Fraction(1, 32), {"p0": -4}))
@@ -261,7 +261,7 @@ class TestDerivativeAlgebra:
         assert reduce(commutator(j1, j3)).is_zero
         assert reduce(commutator(j2, j3)).is_zero
         br12 = reduce(commutator(j1, j2))
-        da = qj.derivative_algebra(BianchiType.VIIA)
+        da = qj.derivative_algebra(BianchiType.VIIA, [j1, j2, j3])
         assert br12 == j3 * da.C
 
 
@@ -308,8 +308,8 @@ class TestQuantumSuiteGates:
     def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
         real = qj.derivative_algebra
 
-        def skewed(btype):
-            da = real(btype)
+        def skewed(btype, components):
+            da = real(btype, components)
             return dataclasses.replace(da, beta_sq=da.beta_sq * factor)
 
         monkeypatch.setattr(qj, "derivative_algebra", skewed)
