@@ -27,12 +27,7 @@ from .oscillator import HOParams, trajectory
 from .report import fmt
 from .suites import ALL_SUITES
 
-_LABELS = {
-    "II": BianchiType.II,
-    "VIIa": BianchiType.VIIA,
-    "IIIa1": BianchiType.IIIA1,
-    "VIa": BianchiType.VIA,
-}
+_LABELS = {t.value: t for t in BianchiType}
 
 
 def _fail_usage(message: str):
@@ -78,10 +73,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _make_label(args) -> BianchiLabel:
     btype = _LABELS[args.label]
-    needs_a = btype in (BianchiType.VIIA, BianchiType.VIA)
     try:
         require_deformable(btype)
-        return BianchiLabel(btype, args.a if needs_a else None)
+        return BianchiLabel(btype, args.a)
     except ValueError as exc:
         _fail_usage(str(exc))
 
@@ -183,7 +177,7 @@ def cmd_jacobi(args) -> int:
     theorem = qj.verify_theorem_q(btype, args.convention, alphabet)
     semi = qj.semiclassical_jacobi(btype)
     cor = qj.corollary_HE(btype)
-    da = qj.derivative_algebra(btype, cor)
+    da = qj.derivative_algebra(cor)
 
     obj = {
         "label": args.label,

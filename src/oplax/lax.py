@@ -28,10 +28,6 @@ from .operad import MultiOp, gerstenhaber
 from .oscillator import HOParams, PhasePoint, trajectory
 
 
-class InvalidParametersError(ValueError):
-    """Parameter vector violates C2^2+C3^2+C5^2+C6^2+C7^2+C8^2 != 0."""
-
-
 class NotRepresentableError(ValueError):
     """Initial tensor is not antisymmetric in its lower indices."""
 
@@ -88,8 +84,6 @@ class ResidualReport:
 
     residual: float
     tol: float
-    t: float
-    mode: str
 
     @property
     def passed(self) -> bool:
@@ -107,7 +101,7 @@ def verify_matrix_lax(params: HOParams, t: float, dt: float = 1e-5,
     L = build_L(params, trajectory(params, t))
     M = build_M(params.omega)
     residual = float(np.max(np.abs(dL - (M @ L - L @ M))))
-    return ResidualReport(residual=residual, tol=tol, t=t, mode="fd")
+    return ResidualReport(residual=residual, tol=tol)
 
 
 # The nine independent components mu^i_{jk}, 0-based, in table order:
@@ -128,22 +122,17 @@ def antisymmetric(values, zero=0) -> list:
     return mu
 
 
-def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint,
-             require_admissible: bool = False) -> list:
+def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint) -> list:
     """27-component tensor mu[i][j][k] of the binary operadic Lax operation.
 
     Nine independent components are affine in (q, p, Q, P); antisymmetric
     partners are filled by negation and everything else is zero.  Scalar
     types of C and point are preserved (floats or Fractions).
 
-    The non-degeneracy constraint on C is only a triviality guard (constant
-    mu, e.g. C9 alone, still satisfies the Lax equation), so it is enforced
-    only on request.
+    The non-degeneracy constraint on C (OperadicParams.admissible) is only
+    a triviality guard: constant mu, e.g. C9 alone, still satisfies the Lax
+    equation, so it is not enforced here.
     """
-    if require_admissible and not C.admissible:
-        raise InvalidParametersError(
-            "C2^2 + C3^2 + C5^2 + C6^2 + C7^2 + C8^2 must be nonzero"
-        )
     w = params.omega
     q, p, Q, P = point.q, point.p, point.Q, point.P
     return antisymmetric((
@@ -259,4 +248,4 @@ def verify_operadic_lax(C: OperadicParams, params: HOParams, t: float,
     M_op = MultiOp(1, 3, build_M(params.omega))
     rhs = gerstenhaber(M_op, mu_op).coeffs
     residual = float(np.max(np.abs(lhs - rhs)))
-    return ResidualReport(residual=residual, tol=tol, t=t, mode=mode)
+    return ResidualReport(residual=residual, tol=tol)

@@ -198,6 +198,8 @@ class CoeffPoly:
         return out
 
     def _inverse(self) -> "CoeffPoly":
+        if self.is_zero:
+            raise ZeroDivisionError("CoeffPoly division by zero")
         if not self.is_monomial:
             raise ValueError(f"cannot invert non-monomial {self.render()}")
         (exps, coeff), = self.terms.items()
@@ -206,7 +208,7 @@ class CoeffPoly:
 
     def __truediv__(self, other):
         if isinstance(other, Rational):
-            return self * Fraction(1, 1) / CoeffPoly.number(other)
+            return self * (1 / Fraction(other))
         if isinstance(other, CoeffPoly):
             return self * other._inverse()
         return NotImplemented
@@ -226,7 +228,7 @@ class CoeffPoly:
             return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
-    # -- substitution and evaluation ---------------------------------------
+    # -- substitution ------------------------------------------------------
 
     def substitute(self, mapping: dict) -> "CoeffPoly":
         """Replace central symbols by numbers or CoeffPoly values.
@@ -260,23 +262,6 @@ class CoeffPoly:
                     key, c1 = _canon_term(list(key), c1)
                 _accumulate(out, key, c1)
         return CoeffPoly(out, _canonical=True)
-
-    def truncate_symbol(self, name: str, k: int) -> "CoeffPoly":
-        """Drop terms where `name` appears with exponent > k."""
-        i = _SYM_INDEX[name]
-        kept = {e: c for e, c in self.terms.items() if e[i] <= k}
-        return CoeffPoly(kept, _canonical=True)
-
-    def evalf(self, values: dict) -> float:
-        """Numeric value; every symbol that occurs must be given."""
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            x = float(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    x *= values[SYMBOLS[i]] ** e
-            total += x
-        return total
 
     # -- rendering ---------------------------------------------------------
 
@@ -406,10 +391,6 @@ class NCPoly:
         return cls(table, {(): coeff})
 
     @classmethod
-    def one(cls, table) -> "NCPoly":
-        return cls.scalar(table, 1)
-
-    @classmethod
     def letter(cls, table, name: str) -> "NCPoly":
         return cls(table, {(name,): 1})
 
@@ -494,24 +475,6 @@ class NCPoly:
 
     # -- algebra operations -------------------------------------------------
 
-    def substitute_letters(self, defs: dict) -> "NCPoly":
-        """Simultaneous replacement of letters by NCPoly values."""
-        images = {}
-        for name, val in defs.items():
-            if not isinstance(val, NCPoly):
-                raise TypeError(f"definition of {name!r} must be NCPoly")
-            images[name] = val
-        out = NCPoly.zero(self.table)
-        for word, coeff in self.terms.items():
-            acc = NCPoly.scalar(self.table, coeff)
-            for letter in word:
-                factor = images.get(letter)
-                if factor is None:
-                    factor = NCPoly.letter(self.table, letter)
-                acc = acc * factor
-            out = out + acc
-        return out
-
     def substitute_symbols(self, mapping: dict) -> "NCPoly":
         """Replace central symbols inside every coefficient."""
         out: dict = {}
@@ -520,16 +483,6 @@ class NCPoly:
             if not c.is_zero:
                 out[word] = c
         return NCPoly(self.table, out, _normal=True)
-
-    def evalf(self, letter_values: dict, symbol_values: dict) -> float:
-        """Numeric value with letters treated as commuting numbers."""
-        total = 0.0
-        for word, coeff in self.terms.items():
-            x = coeff.evalf(symbol_values)
-            for letter in word:
-                x *= letter_values[letter]
-            total += x
-        return total
 
     # -- rendering ---------------------------------------------------------
 
@@ -555,15 +508,3 @@ class NCPoly:
 
 def commutator(x: NCPoly, y: NCPoly) -> NCPoly:
     return x * y - y * x
-
-
-def hbar_truncate(x: NCPoly, k: int) -> NCPoly:
-    """Drop all terms whose lambda-exponent exceeds k."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    out = {}
-    for word, coeff in x.terms.items():
-        c = coeff.truncate_symbol("lambda", k)
-        if not c.is_zero:
-            out[word] = c
-    return NCPoly(x.table, out, _normal=True)

@@ -102,20 +102,10 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     ), zero=NCPoly.zero(table))
 
 
-@dataclass(frozen=True)
-class QElement:
-    """Vector with three operator-valued (or scalar) components."""
-
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != 3:
-            raise ValueError("QElement needs exactly 3 components")
-
-
-def q_bracket(x: QElement, y: QElement, qsc, conv: str = "left") -> QElement:
-    """[x, y] with components sum_{jk} mu^i_{jk} * x^j y^k; conv fixes the
-    placement of the structure constant against the component product."""
+def q_bracket(x: tuple, y: tuple, qsc, conv: str = "left") -> tuple:
+    """[x, y] with components sum_{jk} mu^i_{jk} * x^j y^k for 3-tuples x,
+    y; conv fixes the placement of the structure constant against the
+    component product."""
     if conv not in ("left", "right"):
         raise ValueError(f"unknown convention {conv!r}")
     table = qsc[0][0][1].table
@@ -127,16 +117,16 @@ def q_bracket(x: QElement, y: QElement, qsc, conv: str = "left") -> QElement:
                 m = qsc[i][j][k]
                 if m.is_zero:
                     continue
-                prod = x.components[j] * y.components[k]
+                prod = x[j] * y[k]
                 acc = acc + (m * prod if conv == "left" else prod * m)
         comps.append(acc)
-    return QElement(tuple(comps))
+    return tuple(comps)
 
 
-def q_jacobiator(x: QElement, y: QElement, z: QElement, qsc,
-                 conv: str = "left") -> QElement:
+def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
+                 conv: str = "left") -> tuple:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] with the quantum bracket, for
-    vectors with central (scalar) components.
+    3-tuples with central (scalar) components.
 
     Central coordinates factor out of every product, so the Jacobiator is
     the contraction of the Jacobiator tensor with them:
@@ -149,7 +139,7 @@ def q_jacobiator(x: QElement, y: QElement, z: QElement, qsc,
     """
     if conv not in ("left", "right"):
         raise ValueError(f"unknown convention {conv!r}")
-    xs, ys, zs = ([c.scalar_part() for c in e.components] for e in (x, y, z))
+    xs, ys, zs = ([c.scalar_part() for c in e] for e in (x, y, z))
     zero = NCPoly.zero(qsc[0][0][1].table)
     T = {}
     for i, a, b, c in product(range(3), repeat=4):
@@ -175,15 +165,14 @@ def q_jacobiator(x: QElement, y: QElement, z: QElement, qsc,
             if not cyclic.is_zero and not coord.is_zero:
                 acc = acc + cyclic * coord
         comps.append(acc)
-    return QElement(tuple(comps))
+    return tuple(comps)
 
 
 def symbolic_coordinates(table: CommutationTable):
-    """Three generic vectors with central coordinate symbols."""
+    """Three generic 3-tuples with central coordinate symbols."""
     def vec(prefix):
-        return QElement(tuple(
-            NCPoly.scalar(table, _sym(f"{prefix}{i}")) for i in (1, 2, 3)
-        ))
+        return tuple(NCPoly.scalar(table, _sym(f"{prefix}{i}"))
+                     for i in (1, 2, 3))
     return vec("x"), vec("y"), vec("z")
 
 
@@ -222,14 +211,31 @@ def xi_polys(table: CommutationTable) -> tuple[NCPoly, NCPoly]:
     return xi1, xi2
 
 
+def claimed_jacobi(btype: BianchiType, xi: tuple[NCPoly, NCPoly],
+                   det: CoeffPoly) -> list[NCPoly]:
+    """The claimed closed form of the Jacobiator,
+
+        J^1 = -(a det / (r p0)) xi1,  J^2 = -(a det / (r p0)) xi2,
+        J^3 = (a^2 det / p0) [P, Q],
+
+    in the algebra of xi = (xi1, xi2); det is the coordinate determinant
+    D (det_poly) or the abstract determinant symbol Delta.
+    """
+    require_deformable(btype)
+    a = _a_factor(btype)
+    xi1, xi2 = xi
+    table = xi1.table
+    coef = -(a * det * CoeffPoly.monomial(1, {"r": -1, "p0": -1}))
+    PQ = commutator(NCPoly.letter(table, "P"), NCPoly.letter(table, "Q"))
+    return [xi1 * coef, xi2 * coef,
+            PQ * (a * a * det * CoeffPoly.monomial(1, {"p0": -1}))]
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """Machine comparison of the computed Jacobiator against the claimed
     closed forms, per component."""
 
-    btype: BianchiType
-    convention: str
-    alphabet: str
     exact: tuple
     residuals: tuple
     delta_divisible: tuple
@@ -242,48 +248,25 @@ class TheoremReport:
 def verify_theorem_q(btype: BianchiType, conv: str = "left",
                      alphabet: str = "PQ") -> TheoremReport:
     """Compute the Jacobiator on symbolic coordinates and compare it, as an
-    exact polynomial identity, with the claimed components
-
-        J^1 = -(a D / (r p0)) xi1,  J^2 = -(a D / (r p0)) xi2,
-        J^3 = (a^2 D / p0) (PQ - QP),
-
-    D being the coordinate determinant.  Also checks that every computed
-    component is divisible by D with a coordinate-free quotient.
+    exact polynomial identity, with claimed_jacobi at the coordinate
+    determinant D.  Also checks that every computed component is divisible
+    by D with a coordinate-free quotient.
     """
     table = table_for(alphabet)
     qsc = q_structure(btype, table)
     x, y, z = symbolic_coordinates(table)
     J = q_jacobiator(x, y, z, qsc, conv)
-
-    a = _a_factor(btype)
     D = det_poly()
-    inv_rp0 = CoeffPoly.monomial(1, {"r": -1, "p0": -1})
-    xi1, xi2 = xi_polys(table)
-    P = NCPoly.letter(table, "P")
-    Q = NCPoly.letter(table, "Q")
-    expected = (
-        xi1 * (-(a * D * inv_rp0)),
-        xi2 * (-(a * D * inv_rp0)),
-        commutator(P, Q) * (a * a * D * CoeffPoly.monomial(1, {"p0": -1})),
-    )
+    expected = claimed_jacobi(btype, xi_polys(table), D)
     exact, residuals, divisible = [], [], []
-    for comp, exp in zip(J.components, expected):
+    for comp, exp in zip(J, expected):
         res = comp - exp
         exact.append(res.is_zero)
         residuals.append(res)
         quotient = comp.substitute_symbols(_UNIT_COORDS)
         divisible.append(comp == quotient * D)
-    return TheoremReport(
-        btype=btype, convention=conv, alphabet=alphabet,
-        exact=tuple(exact), residuals=tuple(residuals),
-        delta_divisible=tuple(divisible),
-    )
-
-
-def semiclassical_xi() -> tuple[NCPoly, NCPoly]:
-    """xi1, xi2 with the semiclassical constraints read as definitions of
-    p and omega*q in the two-letter algebra, normal-ordered."""
-    return xi_polys(PQ_TABLE)
+    return TheoremReport(exact=tuple(exact), residuals=tuple(residuals),
+                         delta_divisible=tuple(divisible))
 
 
 def xi_hform() -> tuple[NCPoly, NCPoly]:
@@ -325,34 +308,17 @@ def expand_energy_symbol(x: NCPoly) -> NCPoly:
     return out
 
 
-def _jacobi_coefficient(btype: BianchiType) -> CoeffPoly:
-    """-(a Delta) / (r p0) with Delta the abstract determinant symbol."""
-    a = _a_factor(btype)
-    return -(a * _sym("Delta") * CoeffPoly.monomial(1, {"r": -1, "p0": -1}))
-
-
 def semiclassical_jacobi(btype: BianchiType) -> list[NCPoly]:
-    """Jacobiator components in the semiclassical two-letter calculus,
-    proportional to the abstract determinant symbol Delta."""
-    require_deformable(btype)
-    coef = _jacobi_coefficient(btype)
-    xi1, xi2 = semiclassical_xi()
-    a = _a_factor(btype)
-    j3 = NCPoly.scalar(
-        PQ_TABLE,
-        _sym("lambda") * _sym("eps") * a * a * _sym("Delta")
-        * CoeffPoly.monomial(1, {"p0": -1}),
-    )
-    return [xi1 * coef, xi2 * coef, j3]
+    """claimed_jacobi in the semiclassical two-letter calculus, where the
+    semiclassical constraints define p and omega*q, at the abstract
+    determinant symbol Delta."""
+    return claimed_jacobi(btype, xi_polys(PQ_TABLE), _sym("Delta"))
 
 
 def semiclassical_jacobi_hform(btype: BianchiType) -> list[NCPoly]:
     """Same components with sqrt(2H) kept central (input to the H = E
     reduction)."""
-    require_deformable(btype)
-    coef = _jacobi_coefficient(btype)
-    xi1, xi2 = xi_hform()
-    return [xi1 * coef, xi2 * coef, semiclassical_jacobi(btype)[2]]
+    return claimed_jacobi(btype, xi_hform(), _sym("Delta"))
 
 
 _H_EQ_E = {"h": CoeffPoly.symbol("p0"),
@@ -371,7 +337,6 @@ def corollary_HE(btype: BianchiType) -> list[NCPoly]:
 class DerivativeAlgebraReport:
     """Commutator structure of the reduced Jacobiator components."""
 
-    btype: BianchiType
     C: CoeffPoly
     beta_sq: CoeffPoly
     bracket_13_zero: bool
@@ -393,16 +358,15 @@ def _reduce_he(x: NCPoly) -> NCPoly:
     return x.substitute_symbols({"eps": _H_EQ_E["eps"]})
 
 
-def derivative_algebra(btype: BianchiType, components: list[NCPoly]
-                       ) -> DerivativeAlgebraReport:
+def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
     """Commutators of the H = E Jacobiator components.
 
     [J1, J3] = 0 = [J2, J3] and [J1, J2] = C J3 with
     C = lambda^2 omega^2 Delta / (32 p0^4); the basis e1 = -Delta J3,
     e2 = -Delta J1, e3 = -Delta J2 then satisfies [e2, e3] = beta^2 e1 with
     beta^2 = -C Delta, i.e. the Heisenberg table up to the beta scaling
-    (removed by dividing e2, e3 by beta).  components are corollary_HE(btype)
-    as the caller already computed them.
+    (removed by dividing e2, e3 by beta).  components are corollary_HE of
+    the type, as the caller already computed them.
     """
     j1, j2, j3 = components
     br12 = _reduce_he(commutator(j1, j2))
@@ -426,7 +390,6 @@ def derivative_algebra(btype: BianchiType, components: list[NCPoly]
     else:
         ratio = Fraction(0)
     return DerivativeAlgebraReport(
-        btype=btype,
         C=C,
         beta_sq=beta_sq,
         bracket_13_zero=br13.is_zero,

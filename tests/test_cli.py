@@ -38,6 +38,9 @@ def parse_csv(text):
     ("trajectory", "--energy", "1e308", "--format", "json"),
     ("trajectory", "--energy", "1e308"),
     ("trajectory", "--omega", "1e-310"),
+    # type IIIa1 takes no parameter a
+    ("deform", "--label", "IIIa1", "--a", "2"),
+    ("jacobi", "--label", "IIIa1", "--a", "2"),
 ))
 def test_bad_number_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

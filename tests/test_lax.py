@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oplax.lax import (SLOTS, InvalidParametersError, NotRepresentableError,
-                       OperadicParams, _exact_sqrt, antisymmetric, build_L,
-                       build_M, build_mu, mu_multiop, mu_time_derivative,
-                       solve_C, verify_matrix_lax, verify_operadic_lax)
+from oplax.lax import (SLOTS, NotRepresentableError, OperadicParams,
+                       _exact_sqrt, antisymmetric, build_L, build_M, build_mu,
+                       mu_multiop, mu_time_derivative, solve_C,
+                       verify_matrix_lax, verify_operadic_lax)
 from oplax.operad import MultiOp, gerstenhaber
 from oplax.oscillator import HOParams, PhasePoint, trajectory
 
@@ -93,14 +93,6 @@ class TestBuildMu:
         for t in (0.0, 0.3, 2.1):
             mu = build_mu(C, params, trajectory(params, t))
             assert mu[2][0][1] == 4.5
-
-    def test_admissibility_guard(self):
-        params = HOParams(omega=1.0, p0=1.0)
-        C = OperadicParams(1, 0, 0, 1, 0, 0, 0, 0, 1)
-        point = trajectory(params, 0.0)
-        build_mu(C, params, point)  # default: allowed
-        with pytest.raises(InvalidParametersError):
-            build_mu(C, params, point, require_admissible=True)
 
 
 class TestSolveC:

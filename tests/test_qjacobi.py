@@ -82,7 +82,7 @@ class TestBracketAndJacobiator:
         x, y, _ = qj.symbolic_coordinates(qj.PQ_TABLE)
         xy = qj.q_bracket(x, y, qsc)
         yx = qj.q_bracket(y, x, qsc)
-        for a, b in zip(xy.components, yx.components):
+        for a, b in zip(xy, yx):
             assert a == -b
 
     def test_jacobiator_vanishes_on_repeated_arguments(self):
@@ -91,15 +91,11 @@ class TestBracketAndJacobiator:
         collapse = {"y1": CoeffPoly.symbol("x1"),
                     "y2": CoeffPoly.symbol("x2"),
                     "y3": CoeffPoly.symbol("x3")}
-        for c in qj.q_jacobiator(x, y, y, qsc).components:
+        for c in qj.q_jacobiator(x, y, y, qsc):
             # setting y = x kills the determinant factor and the component
             assert c.substitute_symbols(collapse).is_zero
-        for c in qj.q_jacobiator(x, x, x, qsc).components:
+        for c in qj.q_jacobiator(x, x, x, qsc):
             assert c.is_zero
-
-    def test_element_arity(self):
-        with pytest.raises(ValueError):
-            qj.QElement((NCPoly.zero(qj.PQ_TABLE),) * 2)
 
 
 CONFIGS = tuple((btype, conv, alphabet) for btype in LABELS
@@ -111,8 +107,8 @@ def nested_jacobiator(x, y, z, qsc, conv):
     total = None
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
         term = qj.q_bracket(u, qj.q_bracket(v, w, qsc, conv), qsc, conv)
-        total = term.components if total is None else tuple(
-            a + b for a, b in zip(total, term.components))
+        total = term if total is None else tuple(
+            a + b for a, b in zip(total, term))
     return total
 
 
@@ -125,7 +121,7 @@ class TestJacobiatorContraction:
         qsc = qj.q_structure(btype, table)
         x, y, z = qj.symbolic_coordinates(table)
         for args in ((x, y, z), (x, y, y), (x, x, x)):
-            contracted = qj.q_jacobiator(*args, qsc, conv).components
+            contracted = qj.q_jacobiator(*args, qsc, conv)
             assert contracted == nested_jacobiator(*args, qsc, conv)
 
     def test_operator_component_rejected(self):
@@ -133,7 +129,7 @@ class TestJacobiatorContraction:
         qsc = qj.q_structure(BianchiType.VIIA, table)
         x, y, z = qj.symbolic_coordinates(table)
         P = NCPoly.letter(table, "P")
-        bad = qj.QElement((P,) + x.components[1:])
+        bad = (P,) + x[1:]
         for args in ((bad, y, z), (x, bad, z), (x, y, bad)):
             with pytest.raises(ValueError):
                 qj.q_jacobiator(*args, qsc)
@@ -181,13 +177,13 @@ class TestTheorem:
 
 class TestSemiclassical:
     def test_xi_exact_identities(self):
-        xi1, xi2 = qj.semiclassical_xi()
+        xi1, xi2 = qj.xi_polys(qj.PQ_TABLE)
         h1, h2 = qj.xi_hform()
         assert qj.expand_energy_symbol(h1) == xi1
         assert qj.expand_energy_symbol(h2) == xi2
 
     def test_xi1_explicit_normal_form(self):
-        xi1, xi2 = qj.semiclassical_xi()
+        xi1, xi2 = qj.xi_polys(qj.PQ_TABLE)
         p0 = CoeffPoly.symbol("p0")
         expected1 = NCPoly(qj.PQ_TABLE, {
             ("P", "P", "P"): Fraction(1, 2),
@@ -242,7 +238,7 @@ class TestCorollaryHE:
 class TestDerivativeAlgebra:
     @pytest.mark.parametrize("btype", LABELS)
     def test_heisenberg_reduction(self, btype):
-        da = qj.derivative_algebra(btype, qj.corollary_HE(btype))
+        da = qj.derivative_algebra(qj.corollary_HE(btype))
         expected_C = (LAM * LAM * CoeffPoly.symbol("omega", 2)
                       * CoeffPoly.symbol("Delta")
                       * CoeffPoly.monomial(Fraction(1, 32), {"p0": -4}))
@@ -261,7 +257,7 @@ class TestDerivativeAlgebra:
         assert reduce(commutator(j1, j3)).is_zero
         assert reduce(commutator(j2, j3)).is_zero
         br12 = reduce(commutator(j1, j2))
-        da = qj.derivative_algebra(BianchiType.VIIA, [j1, j2, j3])
+        da = qj.derivative_algebra([j1, j2, j3])
         assert br12 == j3 * da.C
 
 
@@ -304,12 +300,26 @@ class TestQuantumSuiteGates:
         monkeypatch.setattr(qj, "verify_theorem_q", fake)
         assert not self.case_passed("jacobi_theorem_machine_check")
 
+    def test_claimed_jacobi_checked_from_both_sides(self, monkeypatch):
+        """A wrong J^3 in the one closed form fails both the contraction
+        (at D) and the semiclassical H = E reduction (at Delta)."""
+        real = qj.claimed_jacobi
+
+        def doubled(btype, xi, det):
+            j1, j2, j3 = real(btype, xi, det)
+            return [j1, j2, j3 * 2]
+
+        monkeypatch.setattr(qj, "claimed_jacobi", doubled)
+        cases = {c.case_id: c.passed for c in quantum_suite().cases}
+        assert not cases["jacobi_theorem_machine_check"]
+        assert not cases["corollary_HE_VIIa"]
+
     @pytest.mark.parametrize("factor", (2, LAM))
     def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
         real = qj.derivative_algebra
 
-        def skewed(btype, components):
-            da = real(btype, components)
+        def skewed(components):
+            da = real(components)
             return dataclasses.replace(da, beta_sq=da.beta_sq * factor)
 
         monkeypatch.setattr(qj, "derivative_algebra", skewed)
