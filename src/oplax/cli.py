@@ -11,10 +11,10 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 import time
@@ -22,9 +22,8 @@ import time
 from . import qjacobi as qj
 from .bianchi import (BianchiLabel, BianchiType, label_params,
                       require_deformable)
-from .lax import SLOTS, build_mu
-from .oscillator import HOParams, trajectory
-from .report import fmt
+from .lax import SLOTS, mu_slots
+from .oscillator import HOParams, flow
 from .suites import ALL_SUITES
 
 _LABELS = {t.value: t for t in BianchiType}
@@ -87,18 +86,38 @@ def _make_params(args) -> HOParams:
         _fail_usage(str(exc))
 
 
+# rows written per stdout write: large enough to amortise the call, small
+# enough that the joined text stays a few tens of kB
+_EMIT_BATCH = 128
+
+
 def _emit_rows(header, rows, fmt_name: str):
+    """Write rows (a sequence of equal-length tuples of floats or ints) as
+    CSV with a header line, or as JSON lines, one %-template per line.
+
+    CSV writes floats as "%.17g" (byte-equal to report.fmt) and ints as
+    "%d"; JSON writes the keys sorted, as json.dumps(sort_keys=True) does,
+    and each value as "%r", which is json's text for a Python float or
+    int.  The header names are plain identifiers, so neither format needs
+    quoting or escaping.
+    """
     if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         _fail_usage("the flags overflow: a row is not finite")
+    out = sys.stdout
     if fmt_name == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        out.write(",".join(header) + "\n")
+        if not rows:
+            return
+        order = range(len(header))
+        template = ",".join("%d" if type(v) is int else "%.17g"
+                            for v in rows[0]) + "\n"
     else:
-        for row in rows:
-            print(json.dumps(dict(zip(header, row)), sort_keys=True,
-                             allow_nan=False))
+        order = sorted(range(len(header)), key=header.__getitem__)
+        template = "{" + ", ".join(f'"{header[i]}": %r' for i in order) + "}\n"
+    pick = operator.itemgetter(*order)
+    for start in range(0, len(rows), _EMIT_BATCH):
+        batch = map(pick, rows[start:start + _EMIT_BATCH])
+        out.write("".join(map(template.__mod__, batch)))
 
 
 def cmd_verify(args) -> int:
@@ -140,14 +159,11 @@ def cmd_deform(args) -> int:
     label = _make_label(args)
     params = _make_params(args)
     C = label_params(label, params.p0)
+    w = params.omega
     header = ("t", "q", "p", "Q", "P") + tuple(
         f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
-    rows = []
-    for t in _times(args, params):
-        pt = trajectory(params, t)
-        mu = build_mu(C, params, pt)
-        rows.append((t, pt.q, pt.p, pt.Q, pt.P)
-                    + tuple(float(mu[i][j][k]) for i, j, k in SLOTS))
+    rows = [row + tuple(map(float, mu_slots(C, w, *row[1:])))
+            for row in flow(params, _times(args, params))]
     _emit_rows(header, rows, args.format)
     return 0
 
@@ -155,10 +171,8 @@ def cmd_deform(args) -> int:
 def cmd_trajectory(args) -> int:
     params = _make_params(args)
     header = ("t", "q", "p", "Q", "P", "H")
-    rows = []
-    for t in _times(args, params):
-        pt = trajectory(params, t)
-        rows.append((t, pt.q, pt.p, pt.Q, pt.P, pt.H))
+    H = (params.energy,)
+    rows = [row + H for row in flow(params, _times(args, params))]
     _emit_rows(header, rows, args.format)
     return 0
 
@@ -188,8 +202,8 @@ def cmd_jacobi(args) -> int:
         "delta_divisible": list(theorem.delta_divisible),
         "semiclassical": [c.render() for c in semi],
         "h_equals_e": [c.render() for c in cor],
-        "C": da.C.render(),
-        "beta_sq": da.beta_sq.render(),
+        "C": da.rendered("C"),
+        "beta_sq": da.rendered("beta_sq"),
         "heisenberg": da.heisenberg_ok,
     }
     if args.format == "json":
@@ -206,8 +220,8 @@ def cmd_jacobi(args) -> int:
         print(f"J^{i + 1} semiclassical = {c.render()}")
     for i, c in enumerate(cor):
         print(f"J^{i + 1} at H=E = {c.render()}")
-    print(f"C = {da.C.render()}")
-    print(f"beta^2 = {da.beta_sq.render()}")
+    print(f"C = {da.rendered('C')}")
+    print(f"beta^2 = {da.rendered('beta_sq')}")
     print(f"heisenberg_identification={'true' if da.heisenberg_ok else 'false'}")
     return 0
 

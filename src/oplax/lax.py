@@ -11,9 +11,11 @@ through nine real parameters C1..C9; it satisfies dmu/dt = [M, mu] with the
 Gerstenhaber bracket.  solve_C inverts the t = 0 values of mu for the
 parameters, so any antisymmetric initial tensor round-trips exactly.
 
-build_mu, solve_C and mu_time_derivative use plain Python arithmetic and
-work with floats or exact Fractions alike; the numpy layer only enters in
-the verification routines.
+mu_slots states the nine components once; build_mu (the full tensor) and
+the CLI's deform table both read them from there.  mu_slots, build_mu,
+solve_C and mu_time_derivative use plain Python arithmetic and work with
+floats or exact Fractions alike; the numpy layer only enters in the
+verification routines.
 """
 
 from __future__ import annotations
@@ -122,20 +124,15 @@ def antisymmetric(values, zero=0) -> list:
     return mu
 
 
-def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint) -> list:
-    """27-component tensor mu[i][j][k] of the binary operadic Lax operation.
+def mu_slots(C: OperadicParams, w, q, p, Q, P) -> tuple:
+    """The nine independent components of mu, in SLOTS order, at the phase
+    point (q, p, Q, P) of an oscillator with frequency w.
 
-    Nine independent components are affine in (q, p, Q, P); antisymmetric
-    partners are filled by negation and everything else is zero.  Scalar
-    types of C and point are preserved (floats or Fractions).
-
-    The non-degeneracy constraint on C (OperadicParams.admissible) is only
-    a triviality guard: constant mu, e.g. C9 alone, still satisfies the Lax
-    equation, so it is not enforced here.
+    This is the one statement of the operadic family: each component is
+    affine in (q, p, Q, P).  Scalar types of C and the point are preserved
+    (floats or Fractions).
     """
-    w = params.omega
-    q, p, Q, P = point.q, point.p, point.Q, point.P
-    return antisymmetric((
+    return (
         C.c5 * P + C.c6 * Q,                 # mu^1_12
         C.c5 * Q - C.c6 * P,                 # mu^2_12
         C.c9,                                # mu^3_12
@@ -145,7 +142,20 @@ def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint) -> list:
         C.c2 * w * q + C.c3 * p - C.c1,      # mu^1_31
         -(C.c2 * p - C.c3 * w * q + C.c4),   # mu^2_31
         -(C.c7 * P + C.c8 * Q),              # mu^3_31
-    ))
+    )
+
+
+def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint) -> list:
+    """27-component tensor mu[i][j][k] of the binary operadic Lax operation:
+    mu_slots at SLOTS, their negatives at the antisymmetric partners and
+    zero everywhere else.
+
+    The non-degeneracy constraint on C (OperadicParams.admissible) is only
+    a triviality guard: constant mu, e.g. C9 alone, still satisfies the Lax
+    equation, so it is not enforced here.
+    """
+    return antisymmetric(mu_slots(C, params.omega, point.q, point.p,
+                                  point.Q, point.P))
 
 
 def mu_multiop(mu) -> MultiOp:

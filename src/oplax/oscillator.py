@@ -10,7 +10,8 @@ which force P^2 + Q^2 = 2 sqrt(2H).  Along the flow the closed forms
     Q = sqrt(2 p0) sin(omega t / 2),    P = sqrt(2 p0) cos(omega t / 2)
 
 satisfy all three constraints globally (they rotate at half the oscillator
-frequency and change sign smoothly past |omega t| = pi).
+frequency and change sign smoothly past |omega t| = pi).  flow states them
+once; trajectory and the CLI tables read them from there.
 
 Poisson convention: {f, g} = f_p g_q - f_q g_p, i.e. {p, q} = +1.  This is
 the convention under which {P, Q} = omega / (2 sqrt(2H)) comes out positive.
@@ -63,18 +64,20 @@ class PhasePoint:
     H: float
 
 
-def trajectory(params: HOParams, t: float) -> PhasePoint:
-    """Exact flow from (q, p)(0) = (0, p0)."""
+def flow(params: HOParams, times):
+    """Exact flow from (q, p)(0) = (0, p0): a (t, q, p, Q, P) tuple for each
+    t of times.  This is the one statement of the closed forms."""
     w, p0 = params.omega, params.p0
-    root = math.sqrt(2 * p0)
-    return PhasePoint(
-        t=t,
-        q=(p0 / w) * math.sin(w * t),
-        p=p0 * math.cos(w * t),
-        Q=root * math.sin(w * t / 2),
-        P=root * math.cos(w * t / 2),
-        H=params.energy,
-    )
+    amplitude, root = p0 / w, math.sqrt(2 * p0)
+    for t in times:
+        wt = w * t
+        yield (t, amplitude * math.sin(wt), p0 * math.cos(wt),
+               root * math.sin(wt / 2), root * math.cos(wt / 2))
+
+
+def trajectory(params: HOParams, t: float) -> PhasePoint:
+    """The phase point of flow at one time t."""
+    return PhasePoint(*next(flow(params, (t,))), H=params.energy)
 
 
 def quasi_from_phase(params: HOParams, q: float, p: float,

@@ -337,8 +337,8 @@ def corollary_HE(btype: BianchiType) -> list[NCPoly]:
 class DerivativeAlgebraReport:
     """Commutator structure of the reduced Jacobiator components."""
 
-    C: CoeffPoly
-    beta_sq: CoeffPoly
+    C: CoeffPoly | None
+    beta_sq: CoeffPoly | None
     bracket_13_zero: bool
     bracket_23_zero: bool
     bracket_12_matches: bool
@@ -351,6 +351,11 @@ class DerivativeAlgebraReport:
         return (self.bracket_13_zero and self.bracket_23_zero
                 and self.bracket_12_matches and self.basis_brackets_ok
                 and self.rescaled_mu23_1 == 1)
+
+    def rendered(self, field: str) -> str:
+        """C or beta_sq as text; "undefined" where there is no C."""
+        value = getattr(self, field)
+        return "undefined" if value is None else value.render()
 
 
 def _reduce_he(x: NCPoly) -> NCPoly:
@@ -366,12 +371,20 @@ def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
     e2 = -Delta J1, e3 = -Delta J2 then satisfies [e2, e3] = beta^2 e1 with
     beta^2 = -C Delta, i.e. the Heisenberg table up to the beta scaling
     (removed by dividing e2, e3 by beta).  components are corollary_HE of
-    the type, as the caller already computed them.
+    the type, as the caller already computed them.  C and beta^2 are None,
+    and every bracket check fails, when [J1, J2] or J3 is not a scalar or
+    J3 is not an invertible (nonzero monomial) one.
     """
     j1, j2, j3 = components
     br12 = _reduce_he(commutator(j1, j2))
     br13 = _reduce_he(commutator(j1, j3))
     br23 = _reduce_he(commutator(j2, j3))
+    if not (br12.is_scalar and j3.is_scalar
+            and j3.scalar_part().is_monomial):
+        return DerivativeAlgebraReport(
+            C=None, beta_sq=None, bracket_13_zero=br13.is_zero,
+            bracket_23_zero=br23.is_zero, bracket_12_matches=False,
+            basis_brackets_ok=False, rescaled_mu23_1=Fraction(0))
     C = br12.scalar_part() / j3.scalar_part()
     beta_sq = -(C * _sym("Delta"))
     minus_delta = -_sym("Delta")
