@@ -95,22 +95,19 @@ def _emit_rows(header, rows, fmt_name: str):
     """Write rows (a sequence of equal-length tuples of floats or ints) as
     CSV with a header line, or as JSON lines, one %-template per line.
 
-    CSV writes floats as "%.17g" (byte-equal to report.fmt) and ints as
-    "%d"; JSON writes the keys sorted, as json.dumps(sort_keys=True) does,
-    and each value as "%r", which is json's text for a Python float or
-    int.  The header names are plain identifiers, so neither format needs
-    quoting or escaping.
+    CSV writes each value as "%.17g", byte-equal to report.fmt for a float
+    and to str for an int below 10**17; JSON writes the keys sorted, as
+    json.dumps(sort_keys=True) does, and each value as "%r", which is
+    json's text for a Python float or int.  The header names are plain
+    identifiers, so neither format needs quoting or escaping.
     """
     if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         _fail_usage("the flags overflow: a row is not finite")
     out = sys.stdout
     if fmt_name == "csv":
         out.write(",".join(header) + "\n")
-        if not rows:
-            return
         order = range(len(header))
-        template = ",".join("%d" if type(v) is int else "%.17g"
-                            for v in rows[0]) + "\n"
+        template = ",".join(["%.17g"] * len(header)) + "\n"
     else:
         order = sorted(range(len(header)), key=header.__getitem__)
         template = "{" + ", ".join(f'"{header[i]}": %r' for i in order) + "}\n"
