@@ -5,10 +5,13 @@ import math
 
 import pytest
 
-from oplax.bianchi import BianchiLabel, BianchiType, deformation_closed_form
+from oplax import qjacobi as qj
+from oplax.bianchi import (BianchiLabel, BianchiType, deformation_closed_form,
+                           label_params)
 from oplax.cli import main
-from oplax.lax import SLOTS
-from oplax.oscillator import HOParams
+from oplax.lax import SLOTS, build_mu
+from oplax.oscillator import HOParams, trajectory
+from oplax.report import fmt
 
 
 def run_cli(capsys, *argv):
@@ -298,3 +301,96 @@ class TestSpectrum:
     def test_negative_n_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--n-max", "-1")
         assert code == 2
+
+
+def reference_emit(header, rows, fmt_name):
+    """The row emitter the template one must match: csv.writer over
+    report.fmt, or one json.dumps per row."""
+    out = io.StringIO()
+    if fmt_name == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+    else:
+        for row in rows:
+            out.write(json.dumps(dict(zip(header, row)), sort_keys=True,
+                                 allow_nan=False) + "\n")
+    return out.getvalue()
+
+
+def assert_same_text(out, expected):
+    """out == expected, reporting the first differing line; pytest's own
+    diff of two long strings takes minutes."""
+    same = out == expected
+    got, want = out.splitlines(), expected.splitlines()
+    first = next((i for i, pair in enumerate(zip(got, want))
+                  if pair[0] != pair[1]), min(len(got), len(want)))
+    assert same, (f"line {first}: {got[first:first + 1]} != "
+                  f"{want[first:first + 1]} ({len(got)} vs {len(want)} lines)")
+
+
+# 301 rows: more than two of the emitter's write batches
+FLOW = {"--omega": "1.3", "--energy": "0.8", "--t0": "-1e1", "--t1": "3.5",
+        "--steps": "300"}
+
+
+def reference_points(flags):
+    params = HOParams.from_energy(float(flags["--omega"]),
+                                  float(flags["--energy"]))
+    t0, t1 = float(flags["--t0"]), float(flags["--t1"])
+    steps = int(flags["--steps"])
+    times = [t0 + (t1 - t0) * i / steps for i in range(steps + 1)]
+    return params, [trajectory(params, t) for t in times]
+
+
+class TestTablesMatchReferenceEmitter:
+    """deform, trajectory and spectrum print, byte for byte, what the
+    reference emitter prints for rows from the public trajectory and
+    build_mu."""
+
+    @pytest.mark.parametrize("fmt_name", ("csv", "json"))
+    @pytest.mark.parametrize("label, a", (
+        ("VIIa", "0.7"), ("VIIa", "2.5"), ("IIIa1", None),
+        ("VIa", "0.4"), ("VIa", "1.7")))
+    def test_deform(self, capsys, label, a, fmt_name):
+        params, points = reference_points(FLOW)
+        C = label_params(BianchiLabel(BianchiType(label),
+                                      None if a is None else float(a)),
+                         params.p0)
+        header = ("t", "q", "p", "Q", "P") + tuple(
+            f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
+        rows = []
+        for pt in points:
+            mu = build_mu(C, params, pt)
+            rows.append((pt.t, pt.q, pt.p, pt.Q, pt.P)
+                        + tuple(float(mu[i][j][k]) for i, j, k in SLOTS))
+        argv = ["deform", "--label", label, "--format", fmt_name]
+        if a is not None:
+            argv += ["--a", a]
+        for flag, value in FLOW.items():
+            argv += [flag, value]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert_same_text(out, reference_emit(header, rows, fmt_name))
+
+    @pytest.mark.parametrize("fmt_name", ("csv", "json"))
+    def test_trajectory_negative_exponent_t0(self, capsys, fmt_name):
+        params, points = reference_points(FLOW)
+        rows = [(pt.t, pt.q, pt.p, pt.Q, pt.P, pt.H) for pt in points]
+        argv = ["trajectory", "--format", fmt_name]
+        for flag, value in FLOW.items():
+            argv += [flag, value]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert_same_text(out, reference_emit(
+            ("t", "q", "p", "Q", "P", "H"), rows, fmt_name))
+
+    @pytest.mark.parametrize("fmt_name", ("csv", "json"))
+    def test_spectrum_int_column(self, capsys, fmt_name):
+        rows = [(n, n + 0.5, qj.spectrum_determinant(n)) for n in range(13)]
+        code, out, _ = run_cli(capsys, "spectrum", "--n-max", "12",
+                               "--format", fmt_name)
+        assert code == 0
+        assert_same_text(out, reference_emit(
+            ("n", "E_over_hbar_omega", "abs_det"), rows, fmt_name))

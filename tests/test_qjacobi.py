@@ -6,6 +6,7 @@ import pytest
 
 from oplax import qjacobi as qj
 from oplax.bianchi import BianchiType, UnsupportedLabelError
+from oplax.cli import main
 from oplax.ncalg import CoeffPoly, NCPoly, commutator
 from oplax.suites import quantum_suite
 
@@ -313,6 +314,26 @@ class TestQuantumSuiteGates:
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
         assert not cases["jacobi_theorem_machine_check"]
         assert not cases["corollary_HE_VIIa"]
+
+    def test_zero_j3_fails_derivative_cases(self, monkeypatch, capsys):
+        """With J^3 = 0 there is no C to divide out: the derivative cases
+        fail and the suite, and `oplax verify`, still return a report."""
+        real = qj.claimed_jacobi
+
+        def zero_j3(btype, xi, det):
+            j1, j2, j3 = real(btype, xi, det)
+            return [j1, j2, j3 * 0]
+
+        monkeypatch.setattr(qj, "claimed_jacobi", zero_j3)
+        cases = {c.case_id: c.passed for c in quantum_suite().cases}
+        derivative = [k for k in cases if k.startswith("derivative_")]
+        assert len(derivative) == 4 * len(LABELS)
+        assert not any(cases[k] for k in derivative)
+        assert not cases["spectrum_determinant"]
+        assert main(["verify", "--target", "quantum"]) == 1
+        out, err = capsys.readouterr()
+        assert "case=derivative_C_VIIa detail=undefined pass=false" in out
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("factor", (2, LAM))
     def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
