@@ -9,6 +9,9 @@ Deformations are produced two independent ways: through the 9-parameter
 operadic family (solve_C then build_mu along the trajectory) and through
 stored closed forms; the test suite asserts the two agree.  Type II
 (Heisenberg) is data-only: it has no deformation row.
+
+StructureConstants, deformation_closed_form (a 1-D stack of times) and
+classical_jacobiator take stacks of samples, bitwise as each alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .lax import OperadicParams, antisymmetric, build_mu, solve_C
-from .oscillator import HOParams, trajectory
+from .oscillator import HOParams, phase_points, trajectory
 
 
 class UnsupportedLabelError(ValueError):
@@ -59,19 +62,19 @@ class BianchiLabel:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """3x3x3 tensor mu^i_{jk}, antisymmetric in (j, k)."""
+    """3x3x3 tensor mu^i_{jk}, antisymmetric in (j, k) (or a stack)."""
 
     array: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.array)
-        if arr.shape != (3, 3, 3):
-            raise ValueError(f"expected shape (3, 3, 3), got {arr.shape}")
+        if arr.shape[-3:] != (3, 3, 3) or arr.ndim < 3:
+            raise ValueError(f"expected shape (..., 3, 3, 3), got {arr.shape}")
         object.__setattr__(self, "array", arr)
 
     def component(self, i: int, j: int, k: int):
         """1-based lookup matching the mu^i_{jk} notation."""
-        return self.array[i - 1][j - 1][k - 1]
+        return self.array[..., i - 1, j - 1, k - 1]
 
 
 # (alpha, n1, n2, n3) with a the family parameter where applicable
@@ -120,17 +123,17 @@ def dynamical_deformation(label: BianchiLabel, params: HOParams,
 
 
 def deformation_closed_form(label: BianchiLabel, params: HOParams,
-                            t: float) -> StructureConstants:
+                            t) -> StructureConstants:
     """Deformed structure tensor from the stored closed forms (independent
     of the operadic generation path)."""
     require_deformable(label.type)
     a = label.a_value
     n3 = 1 if label.type is BianchiType.VIIA else -1
-    pt = trajectory(params, t)
+    pt = phase_points(params, t)
     p0 = params.p0
     root = np.sqrt(2 * p0)
     w = params.omega
-    return StructureConstants(np.array(antisymmetric((
+    return StructureConstants(antisymmetric((
         a * pt.Q / root,             # mu^1_12
         -a * pt.P / root,            # mu^2_12
         float(n3),                   # mu^3_12
@@ -140,16 +143,18 @@ def deformation_closed_form(label: BianchiLabel, params: HOParams,
         -w * pt.q / (2 * p0),        # mu^1_31
         (pt.p + p0) / (2 * p0),      # mu^2_31
         a * pt.P / root,             # mu^3_31
-    ))))
+    )).reshape(np.shape(t) + (3, 3, 3)))
 
 
 def classical_jacobiator(sc: StructureConstants, x, y, z) -> np.ndarray:
-    """J^i = mu^i_{js} x^j mu^s_{kl} y^k z^l + cyclic permutations of x,y,z."""
+    """J^i = mu^i_{js} x^j mu^s_{kl} y^k z^l + cyclic permutations of x,y,z
+    (per sample for a stack, x, y and z then one vector each)."""
     m = np.asarray(sc.array, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    out = np.zeros(3)
+    out = np.zeros(m.shape[:-2])
     for u, v, w_ in ((x, y, z), (y, z, x), (z, x, y)):
-        out += np.einsum("ijs,j,skl,k,l->i", m, u, m, v, w_)
+        out += np.einsum("...ijs,...j,...skl,...k,...l->...i",
+                         m, u, m, v, w_)
     return out

@@ -15,7 +15,11 @@ mu_slots states the nine components once; build_mu (the full tensor) and
 the CLI's deform table both read them from there.  mu_slots, build_mu,
 solve_C and mu_time_derivative use plain Python arithmetic and work with
 floats or exact Fractions alike; the numpy layer only enters in the
-verification routines.
+verification routines.  The same arithmetic on arrays (a PhasePoint from
+oscillator.phase_points, C with array fields) gives a stack of samples, and
+antisymmetric then an array of shape stack + (3, 3, 3).  The verify_*
+routines take a 1-D stack of times and give one residual per sample, bitwise
+what that sample gives alone; a scalar time is a stack of one.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operad import MultiOp, gerstenhaber
-from .oscillator import HOParams, PhasePoint, trajectory
+from .operad import _bracket
+from .oscillator import HOParams, PhasePoint, phase_points
 
 
 class NotRepresentableError(ValueError):
@@ -74,36 +78,36 @@ def build_M(omega: float) -> np.ndarray:
 
 
 def build_L(params: HOParams, point: PhasePoint) -> np.ndarray:
-    w = params.omega
-    return np.array([[point.p, w * point.q, 0.0],
-                     [w * point.q, -point.p, 0.0],
-                     [0.0, 0.0, 1.0]])
+    """The Lax matrix at point, a stack of them for a stack of points."""
+    p, wq, zero = point.p, params.omega * point.q, np.zeros_like(point.p)
+    return np.stack([p, wq, zero, wq, -p, zero, zero, zero, zero + 1.0],
+                    axis=-1).reshape(np.shape(p) + (3, 3))
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of one Lax-equation check."""
+    """Outcome of one Lax-equation check (residuals, for a stack)."""
 
-    residual: float
+    residual: float | np.ndarray
     tol: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tol
+        return bool(np.all(self.residual <= self.tol))
 
 
-def verify_matrix_lax(params: HOParams, t: float, dt: float = 1e-5,
+def verify_matrix_lax(params: HOParams, t, dt: float = 1e-5,
                       tol: float = 1e-6) -> ResidualReport:
     """Max-norm of central-difference dL/dt minus (ML - LM) at time t."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    Lp = build_L(params, trajectory(params, t + dt))
-    Lm = build_L(params, trajectory(params, t - dt))
+    Lp = build_L(params, phase_points(params, t + dt))
+    Lm = build_L(params, phase_points(params, t - dt))
     dL = (Lp - Lm) / (2 * dt)
-    L = build_L(params, trajectory(params, t))
+    L = build_L(params, phase_points(params, t))
     M = build_M(params.omega)
-    residual = float(np.max(np.abs(dL - (M @ L - L @ M))))
-    return ResidualReport(residual=residual, tol=tol)
+    residual = np.abs(dL - (M @ L - L @ M)).max(axis=(1, 2))
+    return ResidualReport(residual.reshape(np.shape(t))[()], tol)
 
 
 # The nine independent components mu^i_{jk}, 0-based, in table order:
@@ -114,14 +118,21 @@ SLOTS = ((0, 0, 1), (1, 0, 1), (2, 0, 1),
          (0, 2, 0), (1, 2, 0), (2, 2, 0))
 
 
-def antisymmetric(values, zero=0) -> list:
+def antisymmetric(values, zero=0) -> list | np.ndarray:
     """3x3x3 nested list holding the nine values at SLOTS, their negatives
-    at the transposed slots mu^i_{kj}, and zero everywhere else."""
-    mu = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    at the transposed slots mu^i_{kj}, and zero everywhere else.
+
+    Values that are arrays (a stack of samples) give instead a C-contiguous
+    float array of shape stack + (3, 3, 3).
+    """
+    values = tuple(values)
+    stacks = [np.shape(v) for v in values if isinstance(v, np.ndarray)]
+    mu = (np.zeros((3, 3, 3) + np.broadcast_shapes(*stacks)) if stacks
+          else [[[zero] * 3 for _ in range(3)] for _ in range(3)])
     for (i, j, k), value in zip(SLOTS, values, strict=True):
         mu[i][j][k] = value
         mu[i][k][j] = -value
-    return mu
+    return np.moveaxis(mu, (0, 1, 2), (-3, -2, -1)).copy() if stacks else mu
 
 
 def mu_slots(C: OperadicParams, w, q, p, Q, P) -> tuple:
@@ -145,7 +156,8 @@ def mu_slots(C: OperadicParams, w, q, p, Q, P) -> tuple:
     )
 
 
-def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint) -> list:
+def build_mu(C: OperadicParams, params: HOParams,
+             point: PhasePoint) -> list | np.ndarray:
     """27-component tensor mu[i][j][k] of the binary operadic Lax operation:
     mu_slots at SLOTS, their negatives at the antisymmetric partners and
     zero everywhere else.
@@ -156,11 +168,6 @@ def build_mu(C: OperadicParams, params: HOParams, point: PhasePoint) -> list:
     """
     return antisymmetric(mu_slots(C, params.omega, point.q, point.p,
                                   point.Q, point.P))
-
-
-def mu_multiop(mu) -> MultiOp:
-    """Wrap a 3x3x3 tensor as a degree-2 operation."""
-    return MultiOp(2, 3, np.asarray(mu, dtype=float))
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:
@@ -213,7 +220,7 @@ def solve_C(initial_mu, p0, sqrt_2p0=None) -> OperadicParams:
 
 
 def mu_time_derivative(C: OperadicParams, params: HOParams,
-                       point: PhasePoint) -> list:
+                       point: PhasePoint) -> list | np.ndarray:
     """d(mu)/dt along the flow, via qdot = p, pdot = -w^2 q,
     Qdot = (w/2) P, Pdot = -(w/2) Q."""
     w = params.omega
@@ -231,10 +238,11 @@ def mu_time_derivative(C: OperadicParams, params: HOParams,
     ))
 
 
-def verify_operadic_lax(C: OperadicParams, params: HOParams, t: float,
+def verify_operadic_lax(C: OperadicParams, params: HOParams, t,
                         mode: str = "analytic", dt: float = 1e-5,
                         tol: float | None = None) -> ResidualReport:
-    """Residual of dmu/dt = [M, mu] at time t.
+    """Residual of dmu/dt = [M, mu] at time t (C's fields floats or arrays
+    as long as t).
 
     mode "analytic" differentiates the closed forms (chain rule); mode "fd"
     uses central differences over trajectory time.
@@ -243,19 +251,16 @@ def verify_operadic_lax(C: OperadicParams, params: HOParams, t: float,
         raise ValueError(f"unknown mode {mode!r}")
     if tol is None:
         tol = 1e-12 if mode == "analytic" else 1e-6
-    point = trajectory(params, t)
+    point = phase_points(params, t)
     if mode == "analytic":
-        lhs = np.asarray(mu_time_derivative(C, params, point), dtype=float)
+        lhs = mu_time_derivative(C, params, point)
     else:
         if not dt > 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        mp = np.asarray(build_mu(C, params, trajectory(params, t + dt)),
-                        dtype=float)
-        mm = np.asarray(build_mu(C, params, trajectory(params, t - dt)),
-                        dtype=float)
+        mp = build_mu(C, params, phase_points(params, t + dt))
+        mm = build_mu(C, params, phase_points(params, t - dt))
         lhs = (mp - mm) / (2 * dt)
-    mu_op = mu_multiop(build_mu(C, params, point))
-    M_op = MultiOp(1, 3, build_M(params.omega))
-    rhs = gerstenhaber(M_op, mu_op).coeffs
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return ResidualReport(residual=residual, tol=tol)
+    mu = build_mu(C, params, point)
+    M = np.broadcast_to(build_M(params.omega), mu.shape[:1] + (3, 3))
+    residual = np.abs(lhs - _bracket(M, 1, mu, 2)).max(axis=(1, 2, 3))
+    return ResidualReport(residual.reshape(np.shape(t))[()], tol)

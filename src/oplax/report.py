@@ -8,6 +8,7 @@ stderr only, so identical flags and seed give byte-identical output).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -29,10 +30,10 @@ class CaseResult:
 
     def to_record(self) -> dict:
         rec = {"case": self.case_id, "pass": self.passed}
-        if self.residual is not None:
-            rec["residual"] = self.residual
-        if self.tol is not None:
-            rec["tol"] = self.tol
+        for key in ("residual", "tol"):
+            x = getattr(self, key)
+            if x is not None:  # JSON has no NaN or infinity: write the text
+                rec[key] = x if math.isfinite(x) else fmt(x)
         if self.detail is not None:
             rec["detail"] = self.detail
         return rec

@@ -4,12 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oplax import suites
 from oplax.bianchi import (BianchiLabel, BianchiType, StructureConstants,
                            UnsupportedLabelError, classical_jacobiator,
                            deformation_closed_form, dynamical_deformation,
                            label_params, structure_constants)
+from oplax.cli import main
 from oplax.lax import _exact_sqrt, build_mu, solve_C
 from oplax.oscillator import HOParams, PhasePoint
+from oplax.suites import CHUNK, _chunked, bianchi_suite
+
+# stack sizes of the stacked checks; the last needs two chunks
+BATCHES = (1, 2, 7, CHUNK + 1)
 
 DEFORMABLE = [
     BianchiLabel(BianchiType.VIIA, 0.7),
@@ -169,3 +175,82 @@ class TestClassicalJacobiator:
         rhs = (2.0 * classical_jacobiator(sc, x, y, z)
                + classical_jacobiator(sc, x2, y, z))
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestStacked:
+    """A stack of samples, also one the suites split into chunks, gives
+    each sample's result bit for bit as a call with that sample alone."""
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("label", DEFORMABLE[1:4])
+    def test_deformation_closed_form(self, batch, label):
+        rng = np.random.default_rng(batch)
+        params = HOParams(omega=1.3, p0=0.9)
+        t = rng.uniform(0.0, 12.0, size=batch)
+        stacked = _chunked(
+            lambda t: deformation_closed_form(label, params, t).array, t)
+        assert stacked.shape == (batch, 3, 3, 3)
+        for ti, arr in zip(t, stacked):
+            alone = deformation_closed_form(label, params, float(ti)).array
+            assert alone.shape == (3, 3, 3)
+            assert np.array_equal(arr, alone), ti
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_classical_jacobiator(self, batch):
+        rng = np.random.default_rng(batch)
+        label = DEFORMABLE[0]
+        params = HOParams(omega=1.3, p0=0.9)
+        t = rng.uniform(0.0, 12.0, size=batch)
+        x, y, z = rng.uniform(-5.0, 5.0, size=(3, batch, 3))
+
+        def jacobiator(t, x, y, z):
+            sc = StructureConstants(
+                np.stack([dynamical_deformation(label, params, float(ti))
+                          .array for ti in t]))
+            return classical_jacobiator(sc, x, y, z)
+
+        stacked = _chunked(jacobiator, t, x, y, z)
+        for b in range(batch):
+            m = dynamical_deformation(label, params, float(t[b])).array
+            alone = classical_jacobiator(StructureConstants(m), x[b], y[b],
+                                         z[b])
+            # the contraction as first written, one sample at a time
+            reference = np.zeros(3)
+            for u, v, w in ((x[b], y[b], z[b]), (y[b], z[b], x[b]),
+                            (z[b], x[b], y[b])):
+                reference += np.einsum("ijs,j,skl,k,l->i", m, u, m, v, w)
+            assert np.array_equal(stacked[b], alone), b
+            assert np.array_equal(alone, reference), b
+
+    @pytest.mark.parametrize("chunk", (1, 7, 1 << 20))
+    def test_suite_report_does_not_depend_on_chunk(self, monkeypatch, chunk):
+        """One sample per call, a few, or every stack in one call: the same
+        report, byte for byte."""
+        expected = bianchi_suite(seed=5).render_json()
+        monkeypatch.setattr(suites, "CHUNK", chunk)
+        assert bianchi_suite(seed=5).render_json() == expected
+
+
+class TestBianchiSuiteGates:
+    """The stacked cases of the bianchi suite fail when their check
+    breaks."""
+
+    def test_closed_form_sign_flip_fails(self, monkeypatch, capsys):
+        real = suites.deformation_closed_form
+
+        def flipped(label, params, t):
+            arr = real(label, params, t).array.copy()
+            # mu^2_12 = -a P / sqrt(2 p0) with its sign flipped
+            arr[..., 1, 0, 1] *= -1
+            arr[..., 1, 1, 0] *= -1
+            return StructureConstants(arr)
+
+        monkeypatch.setattr(suites, "deformation_closed_form", flipped)
+        cases = {c.case_id: c.passed for c in bianchi_suite().cases}
+        assert not cases["deformation_closed_forms"]
+        assert all(passed for case, passed in cases.items()
+                   if case != "deformation_closed_forms")
+        assert main(["verify", "--target", "bianchi"]) == 1
+        out, err = capsys.readouterr()
+        assert "case=deformation_closed_forms" in out
+        assert "Traceback" not in err

@@ -1,15 +1,23 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oplax import lax, suites
+from oplax.cli import main
 from oplax.lax import (SLOTS, NotRepresentableError, OperadicParams,
                        _exact_sqrt, antisymmetric, build_L, build_M, build_mu,
-                       mu_multiop, mu_time_derivative, solve_C,
+                       mu_time_derivative, solve_C,
                        verify_matrix_lax, verify_operadic_lax)
 from oplax.operad import MultiOp, gerstenhaber
 from oplax.oscillator import HOParams, PhasePoint, trajectory
+from oplax.suites import CHUNK, _chunked, lax_suite
+
+# stack sizes of the stacked checks; the last needs two chunks
+BATCHES = (1, 2, 7, CHUNK + 1)
 
 
 def random_params(rng) -> OperadicParams:
@@ -194,9 +202,135 @@ class TestOperadicLax:
         with pytest.raises(ValueError):
             verify_operadic_lax(C, params, 0.0, mode="fd", dt=-1.0)
 
-    def test_multiop_shape(self):
-        params = HOParams(omega=1.0, p0=1.0)
+
+def reference_operadic_lax(C, params, t, mode):
+    """The operadic Lax residual one sample at a time, as first written:
+    nested lists at trajectory points and the MultiOp bracket."""
+    point = trajectory(params, t)
+    if mode == "analytic":
+        lhs = np.asarray(mu_time_derivative(C, params, point), dtype=float)
+    else:
+        dt = 1e-5
+        mp = np.asarray(build_mu(C, params, trajectory(params, t + dt)),
+                        dtype=float)
+        mm = np.asarray(build_mu(C, params, trajectory(params, t - dt)),
+                        dtype=float)
+        lhs = (mp - mm) / (2 * dt)
+    mu = np.asarray(build_mu(C, params, point), dtype=float)
+    rhs = gerstenhaber(MultiOp(1, 3, build_M(params.omega)),
+                       MultiOp(2, 3, mu)).coeffs
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def reference_matrix_lax(params, t):
+    """The matrix Lax residual one sample at a time, as first written."""
+    def L(pt):
+        wq = params.omega * pt.q
+        return np.array([[pt.p, wq, 0.0], [wq, -pt.p, 0.0], [0.0, 0.0, 1.0]])
+
+    dt = 1e-5
+    dL = (L(trajectory(params, t + dt)) - L(trajectory(params, t - dt))) \
+        / (2 * dt)
+    L0 = L(trajectory(params, t))
+    M = build_M(params.omega)
+    return float(np.max(np.abs(dL - (M @ L0 - L0 @ M))))
+
+
+class TestStacked:
+    """A stack of samples, also one the suites split into chunks, gives
+    each sample's residual bit for bit as a call with that sample alone and
+    as the per-sample reference."""
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("mode", ("analytic", "fd"))
+    def test_operadic_lax(self, batch, mode):
+        rng = np.random.default_rng(batch)
+        params = HOParams(omega=1.1, p0=1.4)
+        c = rng.uniform(-2.0, 2.0, size=(batch, 9))
+        t = rng.uniform(0.0, 10.0, size=batch)
+        stacked = _chunked(
+            lambda c, t: verify_operadic_lax(
+                OperadicParams.from_sequence(c.T), params, t,
+                mode=mode).residual, c, t)
+        samples = [(OperadicParams.from_sequence(ci), float(ti))
+                   for ci, ti in zip(c, t)]
+        alone = [verify_operadic_lax(C, params, ti, mode=mode).residual
+                 for C, ti in samples]
+        assert all(isinstance(r, float) for r in alone)
+        assert np.array_equal(stacked, alone)
+        assert np.array_equal(stacked, [
+            reference_operadic_lax(C, params, ti, mode) for C, ti in samples])
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_matrix_lax(self, batch):
+        rng = np.random.default_rng(batch)
+        params = HOParams.from_energy(0.5, 2.0)
+        t = rng.uniform(0.0, 4 * math.pi, size=batch)
+        stacked = _chunked(lambda t: verify_matrix_lax(params, t).residual, t)
+        alone = [verify_matrix_lax(params, float(ti)).residual for ti in t]
+        assert all(isinstance(r, float) for r in alone)
+        assert np.array_equal(stacked, alone)
+        assert np.array_equal(stacked, [reference_matrix_lax(params, float(ti))
+                                        for ti in t])
+
+    @pytest.mark.parametrize("chunk", (1, 7, 1 << 20))
+    def test_suite_report_does_not_depend_on_chunk(self, monkeypatch, chunk):
+        """One sample per call, a few, or every stack in one call: the same
+        report, byte for byte."""
+        expected = lax_suite(seed=5).render_json()
+        monkeypatch.setattr(suites, "CHUNK", chunk)
+        assert lax_suite(seed=5).render_json() == expected
+
+    def test_nan_time_gives_nan_residual(self):
         C = OperadicParams(0, 1, 0, 0, 0, 0, 0, 0, 0)
-        op = mu_multiop(build_mu(C, params, trajectory(params, 0.0)))
-        assert op.degree == 2 and op.dim == 3
-        assert op.coeffs.shape == (3, 3, 3)
+        rep = verify_operadic_lax(C, HOParams(1, 1), math.nan)
+        assert math.isnan(rep.residual) and not rep.passed
+
+
+class TestLaxSuiteGates:
+    """The stacked cases of the lax suite fail when their check breaks."""
+
+    def test_c8_sign_flip_fails_analytic_case(self, monkeypatch, capsys):
+        real = lax.mu_time_derivative
+
+        def flipped(C, params, point):
+            d = real(C, params, point)
+            # the C8 term of mu^3_23 with its sign flipped
+            term = params.omega / 2 * C.c8 * point.Q
+            d[..., 2, 1, 2] -= 2 * term
+            d[..., 2, 2, 1] += 2 * term
+            return d
+
+        monkeypatch.setattr(lax, "mu_time_derivative", flipped)
+        cases = {c.case_id: c.passed for c in lax_suite().cases}
+        assert not cases["operadic_lax_analytic"]
+        assert cases["operadic_lax_fd"]
+        assert main(["verify", "--target", "lax"]) == 1
+        out, err = capsys.readouterr()
+        assert "case=operadic_lax_analytic" in out
+        assert "Traceback" not in err
+
+    def test_nan_residual_fails_its_case(self, monkeypatch, capsys):
+        """A NaN after finite residuals fails the case, and the JSON report
+        stays JSON."""
+        real = suites.verify_matrix_lax
+
+        def nan_last(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            residual = rep.residual.copy()
+            residual[-1] = math.nan
+            return dataclasses.replace(rep, residual=residual)
+
+        monkeypatch.setattr(suites, "verify_matrix_lax", nan_last)
+        assert main(["verify", "--target", "lax", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        cases = {c["case"]: c
+                 for c in json.loads(out, parse_constant=refuse)["cases"]}
+        assert cases["matrix_lax_fd"]["pass"] is False
+        assert cases["matrix_lax_fd"]["residual"] == "nan"
+        assert all(c["pass"] for k, c in cases.items() if k != "matrix_lax_fd")

@@ -21,6 +21,7 @@ class TestHOParams:
         assert p.p0 == pytest.approx(1.0)
 
     @pytest.mark.parametrize("omega,p0", [(0.0, 1.0), (-1.0, 1.0),
+                                          (math.inf, 1.0), (math.nan, 1.0),
                                           (1.0, 0.0), (1.0, -2.0)])
     def test_domain(self, omega, p0):
         with pytest.raises(ValueError):
