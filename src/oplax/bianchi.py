@@ -8,10 +8,8 @@ The three-dimensional structure equations are parameterized as
 Deformations are produced two independent ways: through the 9-parameter
 operadic family (solve_C then build_mu along the trajectory) and through
 stored closed forms; the test suite asserts the two agree.  Type II
-(Heisenberg) is data-only: it has no deformation row.
-
-StructureConstants, deformation_closed_form (a 1-D stack of times) and
-classical_jacobiator take stacks of samples, bitwise as each alone.
+(Heisenberg) is data-only: it has no deformation row.  StructureConstants,
+deformation_closed_form and classical_jacobiator take stacks of samples.
 """
 
 from __future__ import annotations
@@ -21,8 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .lax import OperadicParams, antisymmetric, build_mu, solve_C
-from .oscillator import HOParams, phase_points, trajectory
+from .lax import (OperadicParams, antisymmetric, build_mu, phase_points,
+                  solve_C)
+from .oscillator import HOParams, trajectory
 
 
 class UnsupportedLabelError(ValueError):
@@ -68,7 +67,7 @@ class StructureConstants:
 
     def __post_init__(self):
         arr = np.asarray(self.array)
-        if arr.shape[-3:] != (3, 3, 3) or arr.ndim < 3:
+        if arr.shape[-3:] != (3, 3, 3):
             raise ValueError(f"expected shape (..., 3, 3, 3), got {arr.shape}")
         object.__setattr__(self, "array", arr)
 

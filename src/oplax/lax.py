@@ -15,11 +15,10 @@ mu_slots states the nine components once; build_mu (the full tensor) and
 the CLI's deform table both read them from there.  mu_slots, build_mu,
 solve_C and mu_time_derivative use plain Python arithmetic and work with
 floats or exact Fractions alike; the numpy layer only enters in the
-verification routines.  The same arithmetic on arrays (a PhasePoint from
-oscillator.phase_points, C with array fields) gives a stack of samples, and
-antisymmetric then an array of shape stack + (3, 3, 3).  The verify_*
-routines take a 1-D stack of times and give one residual per sample, bitwise
-what that sample gives alone; a scalar time is a stack of one.
+verification routines.  On arrays (phase_points, C with array fields) the
+same arithmetic gives a stack of samples; the verify_* routines take a 1-D
+stack of times (a scalar is a stack of one) and give each sample's residual
+bitwise as alone.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .operad import _bracket
-from .oscillator import HOParams, PhasePoint, phase_points
+from .oscillator import HOParams, PhasePoint, flow
 
 
 class NotRepresentableError(ValueError):
@@ -96,6 +95,13 @@ class ResidualReport:
         return bool(np.all(self.residual <= self.tol))
 
 
+def phase_points(params: HOParams, times) -> PhasePoint:
+    """oscillator.trajectory at each of times (a number is a stack of one),
+    as one PhasePoint of 1-D float arrays."""
+    rows = np.array(list(flow(params, np.reshape(times, -1).tolist())))
+    return PhasePoint(*rows.reshape(-1, 5).T, H=params.energy)
+
+
 def verify_matrix_lax(params: HOParams, t, dt: float = 1e-5,
                       tol: float = 1e-6) -> ResidualReport:
     """Max-norm of central-difference dL/dt minus (ML - LM) at time t."""
@@ -120,11 +126,8 @@ SLOTS = ((0, 0, 1), (1, 0, 1), (2, 0, 1),
 
 def antisymmetric(values, zero=0) -> list | np.ndarray:
     """3x3x3 nested list holding the nine values at SLOTS, their negatives
-    at the transposed slots mu^i_{kj}, and zero everywhere else.
-
-    Values that are arrays (a stack of samples) give instead a C-contiguous
-    float array of shape stack + (3, 3, 3).
-    """
+    at the transposed slots mu^i_{kj}, and zero everywhere else; for array
+    values (a stack) a C-contiguous float array, shape stack + (3, 3, 3)."""
     values = tuple(values)
     stacks = [np.shape(v) for v in values if isinstance(v, np.ndarray)]
     mu = (np.zeros((3, 3, 3) + np.broadcast_shapes(*stacks)) if stacks
@@ -241,8 +244,7 @@ def mu_time_derivative(C: OperadicParams, params: HOParams,
 def verify_operadic_lax(C: OperadicParams, params: HOParams, t,
                         mode: str = "analytic", dt: float = 1e-5,
                         tol: float | None = None) -> ResidualReport:
-    """Residual of dmu/dt = [M, mu] at time t (C's fields floats or arrays
-    as long as t).
+    """Residual of dmu/dt = [M, mu] at time t (C's fields as long as t).
 
     mode "analytic" differentiates the closed forms (chain rule); mode "fd"
     uses central differences over trajectory time.

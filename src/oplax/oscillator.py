@@ -11,8 +11,8 @@ which force P^2 + Q^2 = 2 sqrt(2H).  Along the flow the closed forms
 
 satisfy all three constraints globally (they rotate at half the oscillator
 frequency and change sign smoothly past |omega t| = pi).  flow states them
-once; trajectory, phase_points (arrays for a stack of times) and the CLI
-tables read them from there.
+once; trajectory (one time), lax.phase_points (a stack of times, as arrays,
+for the verification routines) and the CLI tables read them from there.
 
 Poisson convention: {f, g} = f_p g_q - f_q g_p, i.e. {p, q} = +1.  This is
 the convention under which {P, Q} = omega / (2 sqrt(2H)) comes out positive.
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 
 class BranchPointError(ValueError):
@@ -81,13 +79,6 @@ def flow(params: HOParams, times):
 def trajectory(params: HOParams, t: float) -> PhasePoint:
     """The phase point of flow at one time t."""
     return PhasePoint(*next(flow(params, (t,))), H=params.energy)
-
-
-def phase_points(params: HOParams, times) -> PhasePoint:
-    """trajectory at each of times (a number is a stack of one), as one
-    PhasePoint of 1-D float arrays."""
-    rows = np.array(list(flow(params, np.reshape(times, -1).tolist())))
-    return PhasePoint(*rows.reshape(-1, 5).T, H=params.energy)
 
 
 def quasi_from_phase(params: HOParams, q: float, p: float,

@@ -1,8 +1,8 @@
 """Verification suites backing the CLI and the acceptance tests.
 
 Each suite draws its random cases from a seeded generator, records one
-CaseResult per check, and reports worst-case residuals so that reruns with
-the same seed are byte-identical.
+CaseResult per check, and reports worst-case residuals (a NaN fails its
+case) so that reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from .bianchi import (DEFORMABLE, BianchiLabel, BianchiType,
                       StructureConstants, classical_jacobiator,
                       deformation_closed_form, dynamical_deformation,
                       label_params, structure_constants)
-from .lax import (OperadicParams, _exact_sqrt, build_mu, solve_C,
-                  verify_matrix_lax, verify_operadic_lax)
+from .lax import (OperadicParams, _exact_sqrt, build_mu, phase_points,
+                  solve_C, verify_matrix_lax, verify_operadic_lax)
 from .ncalg import CoeffPoly, NCPoly
 from .operad import MultiOp, gerstenhaber, graded_lie_residuals
-from .oscillator import (HOParams, PhasePoint, phase_points,
-                         poisson_bracket, quasi_from_phase)
+from .oscillator import (HOParams, PhasePoint, poisson_bracket,
+                         quasi_from_phase)
 from .report import SuiteReport
 
 
@@ -33,7 +33,7 @@ from .report import SuiteReport
 # the fullest queue goes.
 BATCH_BYTES = 64 * 1024
 
-# The lax and bianchi float checks get at most CHUNK samples per call.  A
+# The lax and bianchi float checks run on stacks of at most CHUNK samples.  A
 # check holds several stacks of 3x3x3 tensors at once, so each takes half of
 # BATCH_BYTES; whole-BATCH_BYTES stacks raised the verify peak RSS by 0.1 MB.
 CHUNK = BATCH_BYTES // (2 * 27 * 8)
@@ -124,11 +124,7 @@ def operad_suite(seed: int = 42, samples: int = 1000,
 def lax_suite(seed: int = 42, tol_fd: float = 1e-6,
               tol_analytic: float = 1e-12,
               t_samples: int = 100) -> SuiteReport:
-    """Oscillator invariants plus both Lax equations.
-
-    Each float check runs on stacks of samples and reports its worst
-    residual; random inputs are drawn in the generator's long-standing order.
-    """
+    """Oscillator invariants plus both Lax equations."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("lax", seed=seed)
 
@@ -239,11 +235,7 @@ def _exact_initial_point(p0: Fraction, r: Fraction) -> PhasePoint:
 
 def bianchi_suite(seed: int = 42, tol_exact_float: float = 1e-12,
                   t_samples: int = 100) -> SuiteReport:
-    """Deformation tables, exact round trips, classical Jacobi on-shell.
-
-    The float checks run on stacks of times per label and report their
-    worst residual.
-    """
+    """Deformation tables, exact round trips, classical Jacobi on-shell."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("bianchi", seed=seed)
     params = HOParams(omega=1.3, p0=0.9)
