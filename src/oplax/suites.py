@@ -34,8 +34,8 @@ from .report import SuiteReport
 BATCH_BYTES = 64 * 1024
 
 # The lax and bianchi float checks run on stacks of at most CHUNK samples.  A
-# check holds several stacks of 3x3x3 tensors at once, so each takes half of
-# BATCH_BYTES; whole-BATCH_BYTES stacks raised the verify peak RSS by 0.1 MB.
+# check holds several stacks of 3x3x3 tensors at once (mu, dmu/dt, the
+# bracket's partial compositions), so each is kept to half of BATCH_BYTES.
 CHUNK = BATCH_BYTES // (2 * 27 * 8)
 
 

@@ -214,7 +214,7 @@ class TestStacked:
             m = dynamical_deformation(label, params, float(t[b])).array
             alone = classical_jacobiator(StructureConstants(m), x[b], y[b],
                                          z[b])
-            # the contraction as first written, one sample at a time
+            # the contraction of one sample, without batch axes
             reference = np.zeros(3)
             for u, v, w in ((x[b], y[b], z[b]), (y[b], z[b], x[b]),
                             (z[b], x[b], y[b])):

@@ -204,7 +204,7 @@ class TestOperadicLax:
 
 
 def reference_operadic_lax(C, params, t, mode):
-    """The operadic Lax residual one sample at a time, as first written:
+    """The operadic Lax residual of one sample by the per-sample route:
     nested lists at trajectory points and the MultiOp bracket."""
     point = trajectory(params, t)
     if mode == "analytic":
@@ -223,7 +223,7 @@ def reference_operadic_lax(C, params, t, mode):
 
 
 def reference_matrix_lax(params, t):
-    """The matrix Lax residual one sample at a time, as first written."""
+    """The matrix Lax residual of one sample, from trajectory points."""
     def L(pt):
         wq = params.omega * pt.q
         return np.array([[pt.p, wq, 0.0], [wq, -pt.p, 0.0], [0.0, 0.0, 1.0]])
