@@ -9,7 +9,8 @@ Deformations are produced two independent ways: through the 9-parameter
 operadic family (solve_C then build_mu along the trajectory) and through
 stored closed forms; the test suite asserts the two agree.  Type II
 (Heisenberg) is data-only: it has no deformation row.  StructureConstants,
-deformation_closed_form and classical_jacobiator take stacks of samples.
+deformation_closed_form and classical_jacobiator take stacks of samples and
+load numpy on first use; label_params (the CLI's deform table) does not.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .lax import (OperadicParams, antisymmetric, build_mu, phase_points,
                   solve_C)
 from .oscillator import HOParams, trajectory
+
+np = LazyNumpy(globals())
 
 
 class UnsupportedLabelError(ValueError):
@@ -85,13 +87,21 @@ _PARAMS = {
 }
 
 
-def structure_constants(label: BianchiLabel) -> StructureConstants:
-    """The structure tensor of the given Bianchi type at t = 0."""
+def _row_tensor(label: BianchiLabel) -> list:
+    """The structure tensor at t = 0 as a 3x3x3 nested list; with a float a
+    every entry is a float, as in a numpy array of them (its zeros +0.0)."""
     alpha, n1, n2, n3 = _PARAMS[label.type]
     if alpha == "a":
         alpha = label.a
-    return StructureConstants(np.array(antisymmetric(
-        (0, -alpha, n3, n1, 0, 0, 0, n2, alpha))))
+    mu = antisymmetric((0, -alpha, n3, n1, 0, 0, 0, n2, alpha))
+    if isinstance(alpha, float):
+        mu = [[[float(x) for x in row] for row in plane] for plane in mu]
+    return mu
+
+
+def structure_constants(label: BianchiLabel) -> StructureConstants:
+    """The structure tensor of the given Bianchi type at t = 0."""
+    return StructureConstants(np.array(_row_tensor(label)))
 
 
 DEFORMABLE = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
@@ -108,8 +118,7 @@ def require_deformable(btype: BianchiType) -> None:
 def label_params(label: BianchiLabel, p0, sqrt_2p0=None) -> OperadicParams:
     """Operadic parameters whose t = 0 tensor is the Bianchi row."""
     require_deformable(label.type)
-    sc = structure_constants(label)
-    return solve_C(sc.array.tolist(), p0, sqrt_2p0=sqrt_2p0)
+    return solve_C(_row_tensor(label), p0, sqrt_2p0=sqrt_2p0)
 
 
 def dynamical_deformation(label: BianchiLabel, params: HOParams,

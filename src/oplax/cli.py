@@ -11,6 +11,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -174,6 +175,19 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+@functools.cache
+def _label_fields(btype: BianchiType) -> tuple:
+    """The fields of the jacobi report that depend on the label alone, as
+    rendered text, computed once per label: the semiclassical and H = E
+    components and the derivative algebra's C, beta^2 and Heisenberg
+    verdict."""
+    cor = qj.corollary_HE(btype)
+    da = qj.derivative_algebra(cor)
+    return (tuple(c.render() for c in qj.semiclassical_jacobi(btype)),
+            tuple(c.render() for c in cor), da.rendered("C"),
+            da.rendered("beta_sq"), da.heisenberg_ok)
+
+
 def cmd_jacobi(args) -> int:
     btype = _LABELS[args.label]
     # the symbolic pipeline keeps a as a symbol; a numeric --a is only
@@ -186,9 +200,7 @@ def cmd_jacobi(args) -> int:
         _fail_usage(str(exc))
     alphabet = "PQ" if args.alphabet == "pq" else "qpPQ"
     theorem = qj.verify_theorem_q(btype, args.convention, alphabet)
-    semi = qj.semiclassical_jacobi(btype)
-    cor = qj.corollary_HE(btype)
-    da = qj.derivative_algebra(cor)
+    semi, cor, C, beta_sq, heisenberg = _label_fields(btype)
 
     obj = {
         "label": args.label,
@@ -197,11 +209,11 @@ def cmd_jacobi(args) -> int:
         "theorem_exact": list(theorem.exact),
         "theorem_residuals": [r.render() for r in theorem.residuals],
         "delta_divisible": list(theorem.delta_divisible),
-        "semiclassical": [c.render() for c in semi],
-        "h_equals_e": [c.render() for c in cor],
-        "C": da.rendered("C"),
-        "beta_sq": da.rendered("beta_sq"),
-        "heisenberg": da.heisenberg_ok,
+        "semiclassical": list(semi),
+        "h_equals_e": list(cor),
+        "C": C,
+        "beta_sq": beta_sq,
+        "heisenberg": heisenberg,
     }
     if args.format == "json":
         print(json.dumps(obj, sort_keys=True, allow_nan=False))
@@ -214,12 +226,12 @@ def cmd_jacobi(args) -> int:
               + ("" if theorem.exact[i]
                  else f" residual={theorem.residuals[i].render()}"))
     for i, c in enumerate(semi):
-        print(f"J^{i + 1} semiclassical = {c.render()}")
+        print(f"J^{i + 1} semiclassical = {c}")
     for i, c in enumerate(cor):
-        print(f"J^{i + 1} at H=E = {c.render()}")
-    print(f"C = {da.rendered('C')}")
-    print(f"beta^2 = {da.rendered('beta_sq')}")
-    print(f"heisenberg_identification={'true' if da.heisenberg_ok else 'false'}")
+        print(f"J^{i + 1} at H=E = {c}")
+    print(f"C = {C}")
+    print(f"beta^2 = {beta_sq}")
+    print(f"heisenberg_identification={'true' if heisenberg else 'false'}")
     return 0
 
 

@@ -12,10 +12,12 @@ Gerstenhaber bracket.  solve_C inverts the t = 0 values of mu for the
 parameters, so any antisymmetric initial tensor round-trips exactly.
 
 mu_slots states the nine components once; build_mu (the full tensor) and
-the CLI's deform table both read them from there.  mu_slots, build_mu,
-solve_C and mu_time_derivative use plain Python arithmetic and work with
-floats or exact Fractions alike; the numpy layer only enters in the
-verification routines.  On arrays (phase_points, C with array fields) the
+the CLI's deform table both read them from there.  mu_slots, antisymmetric,
+build_mu, solve_C and mu_time_derivative use plain Python arithmetic and
+work with floats or exact Fractions alike, without loading numpy; the numpy
+layer only enters in the verification routines: build_M, build_L,
+phase_points, ResidualReport.passed and the verify_* routines load it on
+first use.  On arrays (phase_points, C with array fields) the
 same arithmetic gives a stack of samples; the verify_* routines take a 1-D
 stack of times (a scalar is a stack of one) and give each sample's residual
 bitwise as alone.
@@ -24,13 +26,15 @@ bitwise as alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .operad import _bracket
 from .oscillator import HOParams, PhasePoint, flow
+
+np = LazyNumpy(globals())
 
 
 class NotRepresentableError(ValueError):
@@ -129,7 +133,11 @@ def antisymmetric(values, zero=0) -> list | np.ndarray:
     at the transposed slots mu^i_{kj}, and zero everywhere else; for array
     values (a stack) a C-contiguous float array, shape stack + (3, 3, 3)."""
     values = tuple(values)
-    stacks = [np.shape(v) for v in values if isinstance(v, np.ndarray)]
+    # no value is an ndarray before numpy is loaded; not .shape, which a
+    # numpy scalar has too
+    numpy = sys.modules.get("numpy")
+    stacks = [v.shape for v in values
+              if numpy is not None and isinstance(v, numpy.ndarray)]
     mu = (np.zeros((3, 3, 3) + np.broadcast_shapes(*stacks)) if stacks
           else [[[zero] * 3 for _ in range(3)] for _ in range(3)])
     for (i, j, k), value in zip(SLOTS, values, strict=True):

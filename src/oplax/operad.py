@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+from ._lazy import LazyNumpy
+
+np = LazyNumpy(globals())
 
 
 class DimensionMismatchError(ValueError):

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import qjacobi as qj
+from ._lazy import LazyNumpy
 from .bianchi import (DEFORMABLE, BianchiLabel, BianchiType,
                       StructureConstants, classical_jacobiator,
                       deformation_closed_form, dynamical_deformation,
@@ -24,6 +23,8 @@ from .operad import MultiOp, gerstenhaber, graded_lie_residuals
 from .oscillator import (HOParams, PhasePoint, poisson_bracket,
                          quasi_from_phase)
 from .report import SuiteReport
+
+np = LazyNumpy(globals())
 
 
 # Samples wait in one queue per (dim, degrees).  A queue is composed as one
@@ -49,9 +50,13 @@ def _chunked(check, *stacks) -> np.ndarray:
 
 
 def _add_worst(rep: SuiteReport, case_id: str, tol: float, *residuals):
-    """Add case_id with the largest entry of the residual arrays (0.0 for
-    none) against tol.  A NaN anywhere fails it: Python's max(0.0, nan) is
-    0.0 and would drop the NaN.  A residual of -0.0 is reported as 0.0."""
+    """Add case_id with the largest entry of the residual arrays against
+    tol.  A NaN anywhere fails it: Python's max(0.0, nan) is 0.0 and would
+    drop the NaN.  A residual of -0.0 is reported as 0.0.  With no entry at
+    all the case checked nothing, and fails."""
+    if not sum(map(np.size, residuals)):
+        rep.add(case_id, False, tol=tol, detail="samples=0")
+        return
     worst = float(np.max([np.max(r, initial=0.0) for r in residuals],
                          initial=0.0)) + 0.0
     rep.add(case_id, worst <= tol, residual=worst, tol=tol)
@@ -114,7 +119,7 @@ def operad_suite(seed: int = 42, samples: int = 1000,
     for key in list(queues):
         flush(key)
 
-    rep.add("degree_bookkeeping", worst_deg,
+    rep.add("degree_bookkeeping", worst_deg and samples > 0,
             detail=f"samples={samples}")
     _add_worst(rep, "graded_antisymmetry", tol_antisym, *antis)
     _add_worst(rep, "graded_jacobi_relative", tol_jacobi, *jacobis)

@@ -93,6 +93,16 @@ class TestDeformations:
         with pytest.raises(UnsupportedLabelError):
             deformation_closed_form(label, params, 0.0)
 
+    @pytest.mark.parametrize("label", DEFORMABLE + [
+        BianchiLabel(BianchiType.VIIA, 2), BianchiLabel(BianchiType.VIA,
+                                                        Fraction(1, 2))])
+    def test_label_params_reads_the_structure_tensor(self, label):
+        """label_params builds no array, yet solves the tensor that
+        structure_constants holds: the same types, signed zeros included."""
+        for p0 in (0.9, Fraction(9, 8)):
+            expected = solve_C(structure_constants(label).array.tolist(), p0)
+            assert repr(label_params(label, p0)) == repr(expected)
+
     @pytest.mark.parametrize("label", DEFORMABLE)
     def test_initial_value(self, label):
         params = HOParams(omega=1.3, p0=0.9)
@@ -234,6 +244,16 @@ class TestStacked:
 class TestBianchiSuiteGates:
     """The stacked cases of the bianchi suite fail when their check
     breaks."""
+
+    def test_no_samples_fails_closed_form_case(self):
+        """At t_samples=0 deformation_closed_forms checks nothing, and fails
+        without a residual; the other cases keep their samples."""
+        cases = {c.case_id: c for c in bianchi_suite(t_samples=0).cases}
+        case = cases.pop("deformation_closed_forms")
+        assert (case.passed, case.residual, case.detail) \
+            == (False, None, "samples=0")
+        assert all(c.passed for c in cases.values())
+        assert bianchi_suite(t_samples=1).passed
 
     def test_closed_form_sign_flip_fails(self, monkeypatch, capsys):
         real = suites.deformation_closed_form

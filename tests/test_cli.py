@@ -2,9 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oplax
+from oplax import cli
 from oplax import qjacobi as qj
 from oplax.bianchi import (BianchiLabel, BianchiType, deformation_closed_form,
                            label_params)
@@ -262,19 +268,29 @@ class TestJacobi:
         assert "J^1 theorem exact" in out
 
     def test_h_equals_e_components_computed_once(self, capsys, monkeypatch):
-        """derivative_algebra reuses the components cmd_jacobi printed."""
-        import oplax.qjacobi as qj
-        real, calls = qj.corollary_HE, []
+        """derivative_algebra reuses the components cmd_jacobi printed, and
+        a second report for the label reuses both: one call each per label
+        per process, whatever ran before."""
+        calls = []
 
-        def counted(btype):
-            calls.append(btype)
-            return real(btype)
+        def counted(fn):
+            def wrapper(arg):
+                calls.append(fn.__name__)
+                return fn(arg)
+            return wrapper
 
-        monkeypatch.setattr(qj, "corollary_HE", counted)
-        code, out, _ = run_cli(capsys, "jacobi", "--label", "VIa",
-                               "--format", "json")
-        assert code == 0 and json.loads(out)["heisenberg"] is True
-        assert calls == [BianchiType.VIA]
+        for name in ("corollary_HE", "derivative_algebra"):
+            monkeypatch.setattr(qj, name, counted(getattr(qj, name)))
+        cli._label_fields.cache_clear()
+        outs = []
+        for convention in ("left", "right"):
+            code, out, _ = run_cli(capsys, "jacobi", "--label", "VIa",
+                                   "--convention", convention,
+                                   "--format", "json")
+            assert code == 0 and json.loads(out)["heisenberg"] is True
+            outs.append(json.loads(out))
+        assert calls == ["corollary_HE", "derivative_algebra"]
+        assert outs[0]["h_equals_e"] == outs[1]["h_equals_e"]
 
     def test_type_ii_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "jacobi", "--label", "II")
@@ -394,3 +410,126 @@ class TestTablesMatchReferenceEmitter:
         assert code == 0
         assert_same_text(out, reference_emit(
             ("n", "E_over_hbar_omega", "abs_det"), rows, fmt_name))
+
+
+# a child interpreter in which every import of numpy raises ImportError
+NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+SRC = str(Path(oplax.__file__).resolve().parent.parent)
+
+
+def run_child(code, *argv):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+# the nine modules a traced benchmark run patches after importing the CLI
+CLI_MODULES = ("operad", "oscillator", "lax", "bianchi", "ncalg", "qjacobi",
+               "suites", "report", "cli")
+
+# float and exact results of the lax routines that compute without numpy
+LAX_WITHOUT_NUMPY = """
+from fractions import Fraction
+from oplax.bianchi import BianchiLabel, BianchiType, label_params
+from oplax.lax import (antisymmetric, build_mu, mu_slots, mu_time_derivative,
+                       solve_C)
+from oplax.oscillator import HOParams, PhasePoint, trajectory
+
+params = HOParams(1.3, 0.9)
+pt = trajectory(params, 0.7)
+C = label_params(BianchiLabel(BianchiType.VIA, 0.4), params.p0)
+mu = build_mu(C, params, pt)
+p0 = Fraction(9, 8)
+exact = PhasePoint(t=0, q=0, p=p0, Q=0, P=Fraction(3, 2), H=p0 * p0 / 2)
+row = antisymmetric((0, Fraction(-1, 2), 1, 0, 0, 0, 0, 1, Fraction(1, 2)))
+results = [
+    C, mu, mu_slots(C, params.omega, pt.q, pt.p, pt.Q, pt.P),
+    mu_time_derivative(C, params, pt), solve_C(mu, pt.p),
+    label_params(BianchiLabel(BianchiType.IIIA1), params.p0),
+    build_mu(solve_C(row, p0), HOParams(Fraction(1), p0), exact) == row,
+]
+"""
+
+# the lax routines that load numpy, each called once
+LAX_WITH_NUMPY = """
+from oplax.lax import (ResidualReport, build_L, build_M, phase_points,
+                       verify_matrix_lax, verify_operadic_lax)
+from oplax.bianchi import BianchiLabel, BianchiType, label_params
+from oplax.oscillator import HOParams, trajectory
+
+params = HOParams(1.3, 0.9)
+C = label_params(BianchiLabel(BianchiType.VIIA, 0.7), params.p0)
+calls = {
+    "build_M": lambda: build_M(1.3),
+    "build_L": lambda: build_L(params, trajectory(params, 0.5)),
+    "phase_points": lambda: phase_points(params, 0.5),
+    "ResidualReport.passed": lambda: ResidualReport(0.0, 1.0).passed,
+    "verify_matrix_lax": lambda: verify_matrix_lax(params, 0.5),
+    "verify_operadic_lax": lambda: verify_operadic_lax(C, params, 0.5),
+}
+"""
+
+
+class TestNumpyOnlyWhereItComputes:
+    """The CLI starts without numpy; the tables and the jacobi report never
+    load it, and the lax routines load it only where the module docstring
+    says they do."""
+
+    def test_import_leaves_numpy_out(self):
+        child = run_child(
+            "import sys\nimport oplax.cli\n"
+            "print(sorted(sys.modules), flush=True)")
+        assert child.returncode == 0, child.stderr.decode()
+        loaded = eval(child.stdout)
+        assert "numpy" not in loaded
+        assert {f"oplax.{name}" for name in CLI_MODULES} <= set(loaded)
+
+    @pytest.mark.parametrize("argv", (
+        ("deform", "--label", "VIIa", "--a", "0.7", "--t0", "-1e1",
+         "--steps", "40"),
+        ("deform", "--label", "IIIa1", "--steps", "40", "--format", "json"),
+        ("trajectory", "--omega", "1.3", "--steps", "40", "--format", "json"),
+        ("spectrum", "--n-max", "12"),
+        ("jacobi", "--label", "VIa", "--convention", "right",
+         "--alphabet", "qpPQ"),
+        ("jacobi", "--label", "VIIa", "--format", "json"),
+    ))
+    def test_command_runs_with_numpy_blocked(self, capsys, argv):
+        child = run_child(NO_NUMPY + "from oplax.cli import main\n"
+                          "raise SystemExit(main(sys.argv[1:]))", *argv)
+        assert child.returncode == 0, child.stderr.decode()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert child.stdout == out.encode()
+
+    def test_block_stops_numpy_commands(self):
+        """The block is real: verify computes with numpy and fails."""
+        child = run_child(NO_NUMPY + "from oplax.cli import main\n"
+                          "main(['verify', '--target', 'lax'])")
+        assert child.returncode == 1
+        assert b"import of numpy halted" in child.stderr
+
+    def test_lax_routines_without_numpy(self):
+        child = run_child(NO_NUMPY + LAX_WITHOUT_NUMPY
+                          + "print(repr(results))")
+        assert child.returncode == 0, child.stderr.decode()
+        namespace = {}
+        exec(LAX_WITHOUT_NUMPY, namespace)
+        assert namespace["results"][-1] is True
+        assert child.stdout.decode() == repr(namespace["results"]) + "\n"
+
+    def test_lax_routines_that_load_numpy(self):
+        child = run_child(
+            NO_NUMPY + LAX_WITH_NUMPY
+            + "for name, call in calls.items():\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ImportError:\n"
+            "        print(name)\n")
+        assert child.returncode == 0, child.stderr.decode()
+        namespace = {}
+        exec(LAX_WITH_NUMPY, namespace)
+        assert child.stdout.decode().split() == list(namespace["calls"])
+        for call in namespace["calls"].values():
+            call()

@@ -85,6 +85,15 @@ class TestBuildMu:
         assert np.array_equal(mu, -mu.transpose(0, 2, 1))
         assert np.count_nonzero(mu) == 18
 
+    def test_numpy_scalars_are_not_a_stack(self):
+        """numpy scalars have a shape too, but only arrays make a stack."""
+        values = [np.float64(v) for v in range(1, 10)]
+        mu = antisymmetric(values)
+        assert isinstance(mu, list) and mu[0][1][0] == -1.0
+        stack = antisymmetric(values[:8] + [np.arange(3.0)])
+        assert stack.shape == (3, 3, 3, 3)
+        assert stack[2, 2, 2, 0] == 2.0 and stack[1, 0, 0, 1] == 1.0
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(3)
         params = HOParams(omega=1.2, p0=0.8)
@@ -289,6 +298,18 @@ class TestStacked:
 
 class TestLaxSuiteGates:
     """The stacked cases of the lax suite fail when their check breaks."""
+
+    def test_no_samples_fails_sampled_cases(self):
+        """At t_samples=0 the two cases on the time grid check nothing, and
+        fail without a residual; the other cases keep their samples."""
+        cases = {c.case_id: c for c in lax_suite(t_samples=0).cases}
+        empty = {"phase_constraints", "matrix_lax_fd"}
+        for case_id in empty:
+            assert not cases[case_id].passed
+            assert cases[case_id].residual is None
+            assert cases[case_id].detail == "samples=0"
+        assert all(c.passed for k, c in cases.items() if k not in empty)
+        assert lax_suite(t_samples=1).passed
 
     def test_c8_sign_flip_fails_analytic_case(self, monkeypatch, capsys):
         real = lax.mu_time_derivative

@@ -306,3 +306,8 @@ class TestBatchedSuite:
         assert cases["graded_antisymmetry"].residual == anti
         assert cases["graded_jacobi_relative"].residual == jacobi
         assert jacobi > 0.0
+
+    def test_suite_without_samples_fails(self):
+        """No sample checks nothing: every case of the suite fails."""
+        report = suites.operad_suite(samples=0)
+        assert report.failures == len(report.cases) == 3
