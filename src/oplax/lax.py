@@ -17,9 +17,9 @@ build_mu, solve_C and mu_time_derivative use plain Python arithmetic and
 work with floats or exact Fractions alike, without loading numpy; the numpy
 layer only enters in the verification routines: build_M, build_L,
 phase_points, ResidualReport.passed and the verify_* routines load it on
-first use.  On arrays (phase_points, C with array fields) the
-same arithmetic gives a stack of samples; the verify_* routines take a 1-D
-stack of times (a scalar is a stack of one) and give each sample's residual
+first use.  On arrays (phase_points, C with array fields) the same
+arithmetic gives a stack of samples; the verify_* routines take a 1-D stack
+of times (a scalar is a stack of one) and give each sample's residual
 bitwise as alone.
 """
 

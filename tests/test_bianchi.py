@@ -94,8 +94,8 @@ class TestDeformations:
             deformation_closed_form(label, params, 0.0)
 
     @pytest.mark.parametrize("label", DEFORMABLE + [
-        BianchiLabel(BianchiType.VIIA, 2), BianchiLabel(BianchiType.VIA,
-                                                        Fraction(1, 2))])
+        BianchiLabel(BianchiType.VIIA, 2),
+        BianchiLabel(BianchiType.VIA, Fraction(1, 2))])
     def test_label_params_reads_the_structure_tensor(self, label):
         """label_params builds no array, yet solves the tensor that
         structure_constants holds: the same types, signed zeros included."""

@@ -477,11 +477,10 @@ class TestNumpyOnlyWhereItComputes:
     says they do."""
 
     def test_import_leaves_numpy_out(self):
-        child = run_child(
-            "import sys\nimport oplax.cli\n"
-            "print(sorted(sys.modules), flush=True)")
+        child = run_child("import json, sys\nimport oplax.cli\n"
+                          "print(json.dumps(sorted(sys.modules)))")
         assert child.returncode == 0, child.stderr.decode()
-        loaded = eval(child.stdout)
+        loaded = json.loads(child.stdout)
         assert "numpy" not in loaded
         assert {f"oplax.{name}" for name in CLI_MODULES} <= set(loaded)
 
