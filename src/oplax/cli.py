@@ -254,7 +254,9 @@ def _add_flow_flags(sub, t1_default):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The oplax argument parser, built once per process."""
     parser = _Parser(
         prog="oplax",
         description="Operadic Lax pairs, Bianchi deformations, and quantum "
@@ -270,17 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol-exact-float", type=_tolerance, default=1e-12,
                    help="tolerance for identities exact up to rounding")
     v.add_argument("--format", choices=("text", "json"), default="text")
-    v.set_defaults(func=cmd_verify)
 
     d = subs.add_parser("deform", help="dynamical deformation table")
     d.add_argument("--label", choices=tuple(_LABELS), required=True)
     d.add_argument("--a", type=_finite_float, default=None)
     _add_flow_flags(d, t1_default=2 * math.pi)
-    d.set_defaults(func=cmd_deform)
 
     t = subs.add_parser("trajectory", help="oscillator flow table")
     _add_flow_flags(t, t1_default=2 * math.pi)
-    t.set_defaults(func=cmd_trajectory)
 
     j = subs.add_parser("jacobi", help="quantum Jacobi operator report")
     j.add_argument("--label", choices=tuple(_LABELS), required=True)
@@ -289,18 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
                    default="left")
     j.add_argument("--alphabet", choices=("pq", "qpPQ"), default="pq")
     j.add_argument("--format", choices=("text", "json"), default="text")
-    j.set_defaults(func=cmd_jacobi)
 
     s = subs.add_parser("spectrum", help="spectrum determinant table")
     s.add_argument("--n-max", type=int, default=10)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
-    s.set_defaults(func=cmd_spectrum)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up by name on each call, so that the cached parser holds no
+    # command function
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

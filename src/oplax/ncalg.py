@@ -233,31 +233,40 @@ class CoeffPoly:
     def substitute(self, mapping: dict) -> "CoeffPoly":
         """Replace central symbols by numbers or CoeffPoly values.
 
-        A symbol carrying a negative exponent may only be replaced by an
-        invertible monomial.
+        A number folds into each term's coefficient: a term with a positive
+        power of a symbol sent to 0 drops out, and a negative power of one
+        raises ZeroDivisionError.  A symbol carrying a negative exponent
+        may only be replaced by an invertible monomial.
         """
         values = {}
         for name, val in mapping.items():
-            idx = _SYM_INDEX[name]
-            values[idx] = val if isinstance(val, CoeffPoly) \
-                else CoeffPoly.number(val)
+            values[_SYM_INDEX[name]] = val if isinstance(val, CoeffPoly) \
+                else Fraction(val)
         powers: dict = {}
         out: dict = {}
         for exps, coeff in self.terms.items():
             kept = list(exps)
-            factor = CoeffPoly.number(coeff)
+            factor = None
             for idx, val in values.items():
                 e = kept[idx]
                 if e == 0:
                     continue
                 kept[idx] = 0
+                if not isinstance(val, CoeffPoly):
+                    coeff *= val ** e
+                    continue
                 power = powers.get((idx, e))
                 if power is None:
                     power = powers[idx, e] = val ** e
-                factor = factor * power
-            # factor times the monomial of the kept exponents, term by term
-            for e1, c1 in factor.terms.items():
+                factor = power if factor is None else factor * power
+            if not coeff:
+                continue
+            # coeff times factor times the monomial of the kept exponents,
+            # term by term
+            for e1, c1 in (((_ZERO_EXPS, 1),) if factor is None
+                           else factor.terms.items()):
                 key = tuple(map(_add, e1, kept))
+                c1 = c1 * coeff
                 if key[_R] not in (0, 1):
                     key, c1 = _canon_term(list(key), c1)
                 _accumulate(out, key, c1)

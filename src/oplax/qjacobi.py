@@ -27,6 +27,7 @@ sqrt(2 p0) is the radical r with r^2 = 2 p0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,14 +136,24 @@ def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
         T^i_abc = sum_k mu^i_ak mu^k_bc      (left convention),
         T^i_abc = sum_k mu^k_bc mu^i_ak      (right convention).
 
+    The product is bilinear, so T is antisymmetric in (b, c) when mu is in
+    its lower indices: T^i_acb is then taken as -T^i_abc, not multiplied
+    out again.  Whether mu is antisymmetric is checked exactly on each
+    call; a mu that is not gets every T^i_abc multiplied out.
+
     A component that is not a scalar raises ValueError.
     """
     if conv not in ("left", "right"):
         raise ValueError(f"unknown convention {conv!r}")
     xs, ys, zs = ([c.scalar_part() for c in e] for e in (x, y, z))
     zero = NCPoly.zero(qsc[0][0][1].table)
+    skew = all(qsc[k][c][b] == -qsc[k][b][c]
+               for k, b, c in product(range(3), repeat=3))
     T = {}
     for i, a, b, c in product(range(3), repeat=4):
+        if skew and b > c:
+            T[i, a, b, c] = -T[i, a, c, b]
+            continue
         acc = zero
         for k in range(3):
             outer, inner = qsc[i][a][k], qsc[k][b][c]
@@ -176,8 +187,10 @@ def symbolic_coordinates(table: CommutationTable):
     return vec("x"), vec("y"), vec("z")
 
 
+@functools.cache
 def det_poly() -> CoeffPoly:
-    """Determinant of the coordinate rows (x, y, z) as a scalar polynomial."""
+    """Determinant of the coordinate rows (x, y, z) as a scalar polynomial,
+    built once per process."""
     out = CoeffPoly.zero()
     for perm in permutations((1, 2, 3)):
         sign = _perm_sign(perm)
@@ -199,8 +212,10 @@ _UNIT_COORDS = {
 }
 
 
+@functools.cache
 def xi_polys(table: CommutationTable) -> tuple[NCPoly, NCPoly]:
-    """xi1 = omega*q Q + (p - p0) P and xi2 = omega*q P - (p + p0) Q."""
+    """xi1 = omega*q Q + (p - p0) P and xi2 = omega*q P - (p + p0) Q, built
+    once per process and table."""
     P = NCPoly.letter(table, "P")
     Q = NCPoly.letter(table, "Q")
     p_op = momentum_poly(table)

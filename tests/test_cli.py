@@ -93,6 +93,16 @@ def test_negative_non_finite_is_usage_error(capsys, flag, value):
         assert "Traceback" not in err
 
 
+def test_parser_built_once_commands_looked_up_per_call(capsys, monkeypatch):
+    """The parser is cached, and main still runs the command function the
+    module holds at the time of the call."""
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["spectrum", "--n-max", "0"]) == 0
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: args.n_max + 7)
+    assert main(["spectrum", "--n-max", "3"]) == 10
+    capsys.readouterr()
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--target", "operad")

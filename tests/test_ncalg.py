@@ -68,6 +68,14 @@ def substitute_term_by_term(poly, mapping):
     return out
 
 
+# positive, negative and zero exponents of eps, omega, p0 and r
+MIXED = (CoeffPoly.monomial(3, {"eps": 2, "p0": -1})
+         + CoeffPoly.monomial(Fraction(-1, 2), {"eps": 1, "r": 1})
+         + CoeffPoly.monomial(2, {"p0": 1, "omega": -2})
+         + CoeffPoly.monomial(-1, {"r": 1, "a": 1})
+         + CoeffPoly.number(5))
+
+
 class TestCoeffPoly:
     def test_constructors(self):
         assert CoeffPoly.zero().is_zero
@@ -165,7 +173,8 @@ class TestCoeffPoly:
 
     @given(coeff_polys(few_names),
            st.dictionaries(few_names,
-                           st.one_of(fractions, coeff_polys(few_names)),
+                           st.one_of(st.just(0), fractions,
+                                     coeff_polys(few_names)),
                            max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_substitute_matches_term_by_term(self, poly, mapping):
@@ -179,6 +188,25 @@ class TestCoeffPoly:
             return
         got = poly.substitute(mapping)
         assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("mapping", (
+        {"eps": 0},
+        {"p0": Fraction(-2, 3), "eps": 0},
+        {"r": 0, "omega": 3},
+        {"omega": Fraction(1, 2), "r": EPS + 1, "p0": 4},
+    ))
+    def test_substitute_numbers_match_term_by_term(self, mapping):
+        """Numbers, 0 among them, for symbols with negative and positive
+        exponents: the terms of the term-by-term algorithm in its order."""
+        got = MIXED.substitute(mapping)
+        want = substitute_term_by_term(MIXED, mapping)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("mapping", (
+        {"omega": 0}, {"eps": 0, "omega": 0}, {"r": EPS + 1, "omega": 0}))
+    def test_substitute_zero_for_negative_power(self, mapping):
+        with pytest.raises(ZeroDivisionError):
+            MIXED.substitute(mapping)
 
     @given(coeff_polys())
     @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oplax import suites
+from oplax import operad, suites
 from oplax.operad import (DimensionMismatchError, InvalidOperationError,
                           MultiOp, _bracket, _partial, _total, apply_op,
                           gerstenhaber, graded_lie_residuals, identity_op,
@@ -311,3 +311,15 @@ class TestBatchedSuite:
         """No sample checks nothing: every case of the suite fails."""
         report = suites.operad_suite(samples=0)
         assert report.failures == len(report.cases) == 3
+
+    def test_ungraded_sign_rule_fails_antisymmetry(self, monkeypatch):
+        """A bracket signed by the arities, (-1)^(nf ng), in place of the
+        degrees (nf - 1)(ng - 1) is not graded antisymmetric."""
+        def ungraded(fc, nf, gc, ng):
+            fg, gf = _total(fc, nf, gc, ng), _total(gc, ng, fc, nf)
+            return fg + gf if (nf * ng) % 2 else fg - gf
+
+        monkeypatch.setattr(operad, "_bracket", ungraded)
+        cases = {c.case_id: c for c in suites.operad_suite(42).cases}
+        assert not cases["graded_antisymmetry"].passed
+        assert cases["graded_antisymmetry"].residual > 1.0

@@ -7,6 +7,7 @@ import pytest
 from oplax import qjacobi as qj
 from oplax.bianchi import BianchiType, UnsupportedLabelError
 from oplax.cli import main
+from oplax.lax import SLOTS
 from oplax.ncalg import CoeffPoly, NCPoly, commutator
 from oplax.suites import quantum_suite
 
@@ -334,6 +335,36 @@ class TestQuantumSuiteGates:
         out, err = capsys.readouterr()
         assert "case=derivative_C_VIIa detail=undefined pass=false" in out
         assert "Traceback" not in err
+
+    @staticmethod
+    def delta_cases(cases: dict) -> list:
+        delta = [k for k in cases if k.startswith("jacobi_delta_divisible_")]
+        assert len(delta) == 4 * len(LABELS)
+        return delta
+
+    def test_wrong_determinant_fails_divisibility(self, monkeypatch):
+        """D with the sign of one transposition (x1 y3 z2) flipped divides
+        no Jacobiator."""
+        wrong = qj.det_poly() \
+            + 2 * CoeffPoly.monomial(1, {"x1": 1, "y3": 1, "z2": 1})
+        monkeypatch.setattr(qj, "det_poly", lambda: wrong)
+        cases = {c.case_id: c.passed for c in quantum_suite().cases}
+        assert not any(cases[k] for k in self.delta_cases(cases))
+
+    def test_symmetric_structure_fails_theorem(self, monkeypatch):
+        """A mu with +value at the transposed slots: the Jacobiator is
+        multiplied out in full, and neither the closed form nor the
+        divisibility by D holds."""
+        def symmetric(values, zero=0):
+            mu = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+            for (i, j, k), value in zip(SLOTS, values, strict=True):
+                mu[i][j][k] = mu[i][k][j] = value
+            return mu
+
+        monkeypatch.setattr(qj, "antisymmetric", symmetric)
+        cases = {c.case_id: c.passed for c in quantum_suite().cases}
+        assert not cases["jacobi_theorem_machine_check"]
+        assert not any(cases[k] for k in self.delta_cases(cases))
 
     @pytest.mark.parametrize("factor", (2, LAM))
     def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
