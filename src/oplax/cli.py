@@ -23,7 +23,7 @@ import time
 from . import qjacobi as qj
 from .bianchi import (BianchiLabel, BianchiType, label_params,
                       require_deformable)
-from .lax import SLOTS, mu_slots
+from .lax import SLOTS, OperadicParams, mu_slots
 from .oscillator import HOParams, flow
 from .suites import ALL_SUITES
 
@@ -92,30 +92,54 @@ def _make_params(args) -> HOParams:
 _EMIT_BATCH = 128
 
 
-def _emit_rows(header, rows, fmt_name: str):
-    """Write rows (a sequence of equal-length tuples of floats or ints) as
+def _require_finite(*bounds):
+    """Exit 2 unless every bound is finite: the O(1) check each table makes
+    before its first row."""
+    if not all(map(math.isfinite, bounds)):
+        _fail_usage("the flags overflow: a row is not finite")
+
+
+def _emit_rows(header, rows, fmt_name: str, constants=()):
+    """Write rows (an iterable of equal-length tuples of floats or ints) as
     CSV with a header line, or as JSON lines, one %-template per line.
+
+    constants are the values of the last len(constants) columns of header,
+    the same on every row: they are formatted once into the template, and
+    rows hold only the columns before them.
 
     CSV writes each value as "%.17g", byte-equal to report.fmt for a float
     and to str for an int below 10**17; JSON writes the keys sorted, as
     json.dumps(sort_keys=True) does, and each value as "%r", which is
     json's text for a Python float or int.  The header names are plain
     identifiers, so neither format needs quoting or escaping.
+
+    rows is consumed _EMIT_BATCH rows at a time, so a table is never held
+    in memory, and it is not scanned here: the caller has already shown,
+    before the first row, that every value is finite (_require_finite).
+    Those checks are O(1) and rest on rounding to nearest being monotone:
+    the time grid (_times), the trajectory rows and the spectrum rows are
+    checked exactly, accepting the same flags a scan of every value would;
+    the deform rows are checked against a bound on every mu entry
+    (cmd_deform), which is conservative.
     """
-    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-        _fail_usage("the flags overflow: a row is not finite")
     out = sys.stdout
+    varying = len(header) - len(constants)
     if fmt_name == "csv":
         out.write(",".join(header) + "\n")
-        order = range(len(header))
-        template = ",".join(["%.17g"] * len(header)) + "\n"
+        cells = ["%.17g"] * varying + ["%.17g" % c for c in constants]
+        template = ",".join(cells) + "\n"
     else:
-        order = sorted(range(len(header)), key=header.__getitem__)
-        template = "{" + ", ".join(f'"{header[i]}": %r' for i in order) + "}\n"
-    pick = operator.itemgetter(*order)
-    for start in range(0, len(rows), _EMIT_BATCH):
-        batch = map(pick, rows[start:start + _EMIT_BATCH])
-        out.write("".join(map(template.__mod__, batch)))
+        cells = ([f'"{name}": %r' for name in header[:varying]]
+                 + [f'"{name}": {c!r}'
+                    for name, c in zip(header[varying:], constants)])
+        keys = sorted(range(len(header)), key=header.__getitem__)
+        template = "{" + ", ".join(cells[i] for i in keys) + "}\n"
+        rows = map(operator.itemgetter(*(i for i in keys if i < varying)),
+                   rows)
+    lines = map(template.__mod__, rows)
+    for text in iter(lambda: "".join(itertools.islice(lines, _EMIT_BATCH)),
+                     ""):
+        out.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -142,36 +166,65 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _times(args, params: HOParams) -> list:
+def _times(args, params: HOParams):
+    """The time grid t_i = t0 + (t1 - t0) * i / steps, i = 0..steps, as an
+    iterator, after an O(1) check that every t_i and omega * t_i is finite.
+
+    Rounding to nearest is monotone, and so is each step of the expression
+    in i: the product (t1 - t0) * i, the quotient by steps > 0, the sum with
+    t0.  So t_i runs monotonically from t_0 to t_steps, and omega * t_i
+    (omega > 0) from omega * t_0 to omega * t_steps; checking the two ends
+    is exact: it accepts the flags a scan of every t_i accepts.  That
+    includes an infinite span t1 - t0, where t_0 = t0 + inf * 0 is NaN.
+    """
     if args.steps < 1:
         _fail_usage("steps must be >= 1")
-    times = [args.t0 + (args.t1 - args.t0) * i / args.steps
-             for i in range(args.steps + 1)]
-    if not all(math.isfinite(params.omega * t) for t in times):
+    t0, span, steps, w = args.t0, args.t1 - args.t0, args.steps, params.omega
+    if not all(math.isfinite(w * (t0 + span * i / steps)) for i in (0, steps)):
         _fail_usage("the flags overflow: the time grid or omega*t "
                     "is not finite")
-    return times
+    return (t0 + span * i / steps for i in range(steps + 1))
+
+
+def _flow_scale(params: HOParams) -> float:
+    """max(1, p0/omega, p0, sqrt(2 p0)): the largest |q|, |p|, |Q|, |P| of
+    the flow, as flow computes its amplitudes (|sin|, |cos| <= 1), or 1."""
+    p0 = params.p0
+    return max(1.0, p0 / params.omega, p0, math.sqrt(2 * p0))
+
+
+# covers the relative rounding of an mu entry and of its bound, each a few
+# units of 2**-53, so that a finite bound exceeds every entry
+_ROUNDING_MARGIN = 1 + 2.0 ** -20
 
 
 def cmd_deform(args) -> int:
     label = _make_label(args)
     params = _make_params(args)
-    C = label_params(label, params.p0)
     w = params.omega
+    # one float conversion, not one per row: c9 of IIIa1 is an int
+    C = OperadicParams(*map(float, label_params(label, params.p0).as_tuple()))
     header = ("t", "q", "p", "Q", "P") + tuple(
         f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
-    rows = [row + tuple(map(float, mu_slots(C, w, *row[1:])))
-            for row in flow(params, _times(args, params))]
+    times = _times(args, params)
+    # every mu entry sums at most three terms C_i, C_i x or (C_i w) x with
+    # |x| <= _flow_scale, so this finite bound (conservative) makes every
+    # row finite, q, p, Q and P included
+    _require_finite(sum(map(abs, C.as_tuple())) * max(1.0, w)
+                    * _flow_scale(params) * _ROUNDING_MARGIN)
+    rows = (row + mu_slots(C, w, *row[1:]) for row in flow(params, times))
     _emit_rows(header, rows, args.format)
     return 0
 
 
 def cmd_trajectory(args) -> int:
     params = _make_params(args)
-    header = ("t", "q", "p", "Q", "P", "H")
-    H = (params.energy,)
-    rows = [row + H for row in flow(params, _times(args, params))]
-    _emit_rows(header, rows, args.format)
+    times = _times(args, params)
+    # exact: q = (p0/omega) sin, p, Q, P and H are finite on every row or on
+    # none
+    _require_finite(_flow_scale(params), params.energy)
+    _emit_rows(("t", "q", "p", "Q", "P", "H"), flow(params, times),
+               args.format, constants=(params.energy,))
     return 0
 
 
@@ -235,13 +288,21 @@ def cmd_jacobi(args) -> int:
     return 0
 
 
+def _spectrum_row(n: int) -> tuple:
+    return n, n + 0.5, qj.spectrum_determinant(n)
+
+
 def cmd_spectrum(args) -> int:
     if args.n_max < 0:
         _fail_usage("n-max must be >= 0")
-    header = ("n", "E_over_hbar_omega", "abs_det")
-    rows = [(n, n + 0.5, qj.spectrum_determinant(n))
-            for n in range(args.n_max + 1)]
-    _emit_rows(header, rows, args.format)
+    # every column increases with n, so the last row bounds the others
+    try:
+        last = _spectrum_row(args.n_max)
+    except OverflowError:  # n + 0.5 with n too large for a float
+        last = (math.inf,)
+    _require_finite(*last)
+    _emit_rows(("n", "E_over_hbar_omega", "abs_det"),
+               map(_spectrum_row, range(args.n_max + 1)), args.format)
     return 0
 
 

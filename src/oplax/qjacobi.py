@@ -77,8 +77,10 @@ def _a_factor(btype: BianchiType) -> CoeffPoly:
     return _sym("a")
 
 
+@functools.cache
 def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
-    """3x3x3 nested list of NCPoly operator structure constants."""
+    """3x3x3 nested tuple of NCPoly operator structure constants, built
+    once per process, label and table."""
     require_deformable(btype)
     a = _a_factor(btype)
     n3 = 1 if btype is BianchiType.VIIA else -1
@@ -90,7 +92,7 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     wq_op = omega_q_poly(table)
     half = NCPoly.scalar(table, Fraction(1, 2))
 
-    return antisymmetric((
+    mu = antisymmetric((
         Q * (a * inv_r),                     # mu^1_12 = a Q / r
         -(P * (a * inv_r)),                  # mu^2_12 = -a P / r
         NCPoly.scalar(table, n3),            # mu^3_12
@@ -101,6 +103,7 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
         p_op * inv2p0 + half,                # mu^2_31 = (p + p0)/(2p0)
         P * (a * inv_r),                     # mu^3_31
     ), zero=NCPoly.zero(table))
+    return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 
 def q_bracket(x: tuple, y: tuple, qsc, conv: str = "left") -> tuple:
@@ -179,8 +182,10 @@ def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
     return tuple(comps)
 
 
+@functools.cache
 def symbolic_coordinates(table: CommutationTable):
-    """Three generic 3-tuples with central coordinate symbols."""
+    """Three generic 3-tuples with central coordinate symbols, built once
+    per process and table."""
     def vec(prefix):
         return tuple(NCPoly.scalar(table, _sym(f"{prefix}{i}"))
                      for i in (1, 2, 3))

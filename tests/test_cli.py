@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oplax
 from oplax import cli
@@ -50,11 +54,97 @@ def parse_csv(text):
     # type IIIa1 takes no parameter a
     ("deform", "--label", "IIIa1", "--a", "2"),
     ("jacobi", "--label", "IIIa1", "--a", "2"),
+    # mu^1_12 = (a / sqrt(2 p0)) P overflows
+    ("deform", "--label", "VIIa", "--a", "1e308", "--energy", "1e-10"),
+    # n + 0.5 of the last row raises OverflowError
+    ("spectrum", "--n-max", "1" + "0" * 400),
 ))
 def test_bad_number_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "Traceback" not in err
+
+
+def scanned_grid(t0, t1, omega, steps):
+    """The grid check the tables made before they streamed: build every t,
+    then scan every omega * t.  None where the scan rejects the flags."""
+    times = [t0 + (t1 - t0) * i / steps for i in range(steps + 1)]
+    return times if all(math.isfinite(omega * t) for t in times) else None
+
+
+MAX = sys.float_info.max
+TINY = 5e-324
+# extreme, subnormal and ordinary times; st.floats draws subnormals too
+EXTREME_TIMES = st.one_of(
+    st.sampled_from((0.0, -0.0, TINY, -TINY, 1e-310, -1e-310, 1.0, -3.5,
+                     1e154, -1e154, 1e300, -1e300, MAX / 2, -MAX / 2, MAX,
+                     -MAX)),
+    st.floats(allow_nan=False, allow_infinity=False))
+OMEGAS = st.one_of(st.sampled_from((1e-309, 1e-300, 1.0, 1e154, 1e307)),
+                   st.floats(1e-310, 1e308, exclude_min=True,
+                             exclude_max=True))
+ENERGIES = st.one_of(st.sampled_from((1e-300, 0.5, 1e300, MAX)),
+                     st.floats(TINY, MAX))
+
+
+def grid_flags(t0, t1, omega, energy, steps):
+    return [f"--t0={t0!r}", f"--t1={t1!r}", f"--omega={omega!r}",
+            f"--energy={energy!r}", "--steps", str(steps)]
+
+
+class TestBoundChecks:
+    """The O(1) checks made before the first row: the grid check is
+    exact, and no accepted flags print a value that is not finite."""
+
+    @given(t0=EXTREME_TIMES, t1=EXTREME_TIMES, omega=OMEGAS,
+           steps=st.integers(1, 64))
+    @example(t0=-MAX, t1=MAX, omega=1.0, steps=1)       # span inf: t_0 NaN
+    @example(t0=-MAX / 2, t1=MAX / 2, omega=1.0, steps=64)
+    @example(t0=0.0, t1=1e300, omega=1e10, steps=3)     # omega * t1 inf
+    @example(t0=1e-310, t1=-TINY, omega=1e-310, steps=64)
+    @settings(max_examples=400, deadline=None)
+    def test_grid_check_accepts_what_the_scan_accepts(self, t0, t1, omega,
+                                                      steps):
+        expected = scanned_grid(t0, t1, omega, steps)
+        args = argparse.Namespace(t0=t0, t1=t1, steps=steps)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                times = list(cli._times(args, HOParams(omega, 1.0)))
+        except SystemExit as exc:
+            assert exc.code == 2 and expected is None
+        else:
+            assert expected is not None
+            assert list(map(float.hex, times)) == \
+                list(map(float.hex, expected))
+
+    @given(command=st.sampled_from((
+               ("trajectory",), ("deform", "--label", "VIIa", "--a", "0.7"),
+               ("deform", "--label", "IIIa1"),
+               ("deform", "--label", "VIa", "--a", "1e150"))),
+           t0=EXTREME_TIMES, t1=EXTREME_TIMES, omega=OMEGAS,
+           energy=ENERGIES, steps=st.integers(1, 64))
+    @example(command=("trajectory",), t0=-1e300, t1=1e300, omega=1e-300,
+             energy=0.5, steps=64)
+    @example(command=("deform", "--label", "VIa", "--a", "1e150"), t0=0.0,
+             t1=1e150, omega=1e-150, energy=1e150, steps=64)
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_flags_print_finite_values(self, command, t0, t1, omega,
+                                                energy, steps):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*command,
+                             *grid_flags(t0, t1, omega, energy, steps)])
+            except SystemExit as exc:
+                code = exc.code
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            return
+        assert code == 0
+        _, rows = parse_csv(out.getvalue())
+        assert len(rows) == steps + 1
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 @pytest.mark.parametrize("code, argv", (
@@ -359,6 +449,8 @@ def assert_same_text(out, expected):
 # 301 rows: more than two of the emitter's write batches
 FLOW = {"--omega": "1.3", "--energy": "0.8", "--t0": "-1e1", "--t1": "3.5",
         "--steps": "300"}
+# row counts that fill the emitter's write batches exactly
+BATCH_EDGES = (cli._EMIT_BATCH, 2 * cli._EMIT_BATCH)
 
 
 def reference_points(flags):
@@ -379,8 +471,8 @@ class TestTablesMatchReferenceEmitter:
     @pytest.mark.parametrize("label, a", (
         ("VIIa", "0.7"), ("VIIa", "2.5"), ("IIIa1", None),
         ("VIa", "0.4"), ("VIa", "1.7")))
-    def test_deform(self, capsys, label, a, fmt_name):
-        params, points = reference_points(FLOW)
+    def test_deform(self, capsys, label, a, fmt_name, flags=FLOW):
+        params, points = reference_points(flags)
         C = label_params(BianchiLabel(BianchiType(label),
                                       None if a is None else float(a)),
                          params.p0)
@@ -394,18 +486,19 @@ class TestTablesMatchReferenceEmitter:
         argv = ["deform", "--label", label, "--format", fmt_name]
         if a is not None:
             argv += ["--a", a]
-        for flag, value in FLOW.items():
+        for flag, value in flags.items():
             argv += [flag, value]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert_same_text(out, reference_emit(header, rows, fmt_name))
 
     @pytest.mark.parametrize("fmt_name", ("csv", "json"))
-    def test_trajectory_negative_exponent_t0(self, capsys, fmt_name):
-        params, points = reference_points(FLOW)
+    def test_trajectory_negative_exponent_t0(self, capsys, fmt_name,
+                                              flags=FLOW):
+        params, points = reference_points(flags)
         rows = [(pt.t, pt.q, pt.p, pt.Q, pt.P, pt.H) for pt in points]
         argv = ["trajectory", "--format", fmt_name]
-        for flag, value in FLOW.items():
+        for flag, value in flags.items():
             argv += [flag, value]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -413,13 +506,25 @@ class TestTablesMatchReferenceEmitter:
             ("t", "q", "p", "Q", "P", "H"), rows, fmt_name))
 
     @pytest.mark.parametrize("fmt_name", ("csv", "json"))
-    def test_spectrum_int_column(self, capsys, fmt_name):
-        rows = [(n, n + 0.5, qj.spectrum_determinant(n)) for n in range(13)]
-        code, out, _ = run_cli(capsys, "spectrum", "--n-max", "12",
+    def test_spectrum_int_column(self, capsys, fmt_name, count=13):
+        rows = [(n, n + 0.5, qj.spectrum_determinant(n))
+                for n in range(count)]
+        code, out, _ = run_cli(capsys, "spectrum", "--n-max", str(count - 1),
                                "--format", fmt_name)
         assert code == 0
         assert_same_text(out, reference_emit(
             ("n", "E_over_hbar_omega", "abs_det"), rows, fmt_name))
+
+    @pytest.mark.parametrize("count", BATCH_EDGES)
+    @pytest.mark.parametrize("fmt_name", ("csv", "json"))
+    def test_batch_edges(self, capsys, fmt_name, count):
+        """Row counts of one write batch and of two; spectrum also prints a
+        single row."""
+        flags = dict(FLOW, **{"--steps": str(count - 1)})
+        self.test_deform(capsys, "VIa", "0.4", fmt_name, flags)
+        self.test_trajectory_negative_exponent_t0(capsys, fmt_name, flags)
+        for rows in (1, count):
+            self.test_spectrum_int_column(capsys, fmt_name, rows)
 
 
 # a child interpreter in which every import of numpy raises ImportError
@@ -427,11 +532,41 @@ NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 SRC = str(Path(oplax.__file__).resolve().parent.parent)
 
 
-def run_child(code, *argv):
+def run_child(code, *argv, stdout=subprocess.PIPE):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, timeout=120,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+# a child that runs the CLI and writes its peak resident set (Linux's VmHWM,
+# in kB) to stderr
+PEAK_RSS = """
+import sys
+from oplax.cli import main
+main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from Linux's /proc")
+@pytest.mark.parametrize("argv, steps", (
+    (("trajectory",), (50_000, 200_000)),
+    (("deform", "--label", "VIIa", "--a", "0.7"), (20_000, 80_000))))
+def test_tables_stream_in_constant_memory(argv, steps):
+    """Four times the rows leave the peak resident set within 1 MB: no
+    table is held in memory (a held 200k-row trajectory peaks some 40 MB
+    above a 50k-row one)."""
+    peaks = []
+    for n in steps:
+        child = run_child(PEAK_RSS, *argv, "--steps", str(n),
+                          stdout=subprocess.DEVNULL)
+        assert child.returncode == 0, child.stderr.decode()
+        peaks.append(int(child.stderr))
+    assert abs(peaks[1] - peaks[0]) <= 1024, peaks
 
 
 # the nine modules a traced benchmark run patches after importing the CLI

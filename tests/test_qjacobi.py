@@ -351,16 +351,19 @@ class TestQuantumSuiteGates:
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
         assert not any(cases[k] for k in self.delta_cases(cases))
 
-    def test_symmetric_structure_fails_theorem(self, monkeypatch):
+    def test_symmetric_structure_fails_theorem(self, monkeypatch, request):
         """A mu with +value at the transposed slots: the Jacobiator is
         multiplied out in full, and neither the closed form nor the
-        divisibility by D holds."""
+        divisibility by D holds.  q_structure is cached, so the cache is
+        emptied before the mutation and again after it."""
         def symmetric(values, zero=0):
             mu = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
             for (i, j, k), value in zip(SLOTS, values, strict=True):
                 mu[i][j][k] = mu[i][k][j] = value
             return mu
 
+        qj.q_structure.cache_clear()
+        request.addfinalizer(qj.q_structure.cache_clear)
         monkeypatch.setattr(qj, "antisymmetric", symmetric)
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
         assert not cases["jacobi_theorem_machine_check"]
