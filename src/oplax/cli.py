@@ -113,14 +113,12 @@ def _emit_rows(header, rows, fmt_name: str, constants=()):
     json's text for a Python float or int.  The header names are plain
     identifiers, so neither format needs quoting or escaping.
 
-    rows is consumed _EMIT_BATCH rows at a time, so a table is never held
-    in memory, and it is not scanned here: the caller has already shown,
-    before the first row, that every value is finite (_require_finite).
-    Those checks are O(1) and rest on rounding to nearest being monotone:
-    the time grid (_times), the trajectory rows and the spectrum rows are
-    checked exactly, accepting the same flags a scan of every value would;
-    the deform rows are checked against a bound on every mu entry
-    (cmd_deform), which is conservative.
+    rows is consumed _EMIT_BATCH rows at a time and never held whole.  It
+    is not scanned either: before the first row the caller checks in O(1)
+    that every value is finite (_require_finite).  Rounding to nearest is
+    monotone, so the checks of the time grid (_times), of the trajectory
+    rows and of the spectrum rows are exact; the bound on the deform rows
+    (cmd_deform) is conservative.
     """
     out = sys.stdout
     varying = len(header) - len(constants)

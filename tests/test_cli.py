@@ -87,11 +87,6 @@ ENERGIES = st.one_of(st.sampled_from((1e-300, 0.5, 1e300, MAX)),
                      st.floats(TINY, MAX))
 
 
-def grid_flags(t0, t1, omega, energy, steps):
-    return [f"--t0={t0!r}", f"--t1={t1!r}", f"--omega={omega!r}",
-            f"--energy={energy!r}", "--steps", str(steps)]
-
-
 class TestBoundChecks:
     """The O(1) checks made before the first row: the grid check is
     exact, and no accepted flags print a value that is not finite."""
@@ -130,11 +125,13 @@ class TestBoundChecks:
     @settings(max_examples=300, deadline=None)
     def test_accepted_flags_print_finite_values(self, command, t0, t1, omega,
                                                 energy, steps):
+        argv = [*command, f"--t0={t0!r}", f"--t1={t1!r}",
+                f"--omega={omega!r}", f"--energy={energy!r}",
+                "--steps", str(steps)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main([*command,
-                             *grid_flags(t0, t1, omega, energy, steps)])
+                code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         assert "Traceback" not in err.getvalue()
