@@ -15,7 +15,7 @@ load numpy on first use; label_params (the CLI's deform table) does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from ._lazy import LazyNumpy
@@ -37,23 +37,25 @@ class BianchiType(Enum):
     VIA = "VIa"
 
 
-@dataclass(frozen=True)
-class BianchiLabel:
+class BianchiLabel(namedtuple("BianchiLabel", "type a")):
     """Bianchi type plus the parameter a where the family needs one."""
 
-    type: BianchiType
-    a: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.type in (BianchiType.VIIA, BianchiType.VIA):
-            if self.a is None:
-                raise ValueError(f"type {self.type.value} requires parameter a")
-            if not self.a > 0:
-                raise ValueError(f"parameter a must be > 0, got {self.a}")
-            if self.type is BianchiType.VIA and self.a == 1:
+    def __new__(cls, type: BianchiType, a: float | None = None):
+        if type in (BianchiType.VIIA, BianchiType.VIA):
+            if a is None:
+                raise ValueError(f"type {type.value} requires parameter a")
+            if not a > 0:
+                raise ValueError(f"parameter a must be > 0, got {a}")
+            if type is BianchiType.VIA and a == 1:
                 raise ValueError("type VIa requires a != 1")
-        elif self.a is not None:
-            raise ValueError(f"type {self.type.value} takes no parameter a")
+        elif a is not None:
+            raise ValueError(f"type {type.value} takes no parameter a")
+        return super().__new__(cls, type, a)
+
+    # _replace builds through _make, which skips __new__: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def a_value(self):
@@ -61,17 +63,19 @@ class BianchiLabel:
         return 1 if self.type is BianchiType.IIIA1 else self.a
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(namedtuple("StructureConstants", "array")):
     """3x3x3 tensor mu^i_{jk}, antisymmetric in (j, k) (or a stack)."""
 
-    array: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        arr = np.asarray(self.array)
+    def __new__(cls, array: np.ndarray):
+        arr = np.asarray(array)
         if arr.shape[-3:] != (3, 3, 3):
             raise ValueError(f"expected shape (..., 3, 3, 3), got {arr.shape}")
-        object.__setattr__(self, "array", arr)
+        return super().__new__(cls, arr)
+
+    # _replace builds through _make, which skips __new__: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def component(self, i: int, j: int, k: int):
         """1-based lookup matching the mu^i_{jk} notation."""

@@ -117,8 +117,9 @@ def _emit_rows(header, rows, fmt_name: str, constants=()):
     is not scanned either: before the first row the caller checks in O(1)
     that every value is finite (_require_finite).  Rounding to nearest is
     monotone, so the checks of the time grid (_times), of the trajectory
-    rows and of the spectrum rows are exact; the bound on the deform rows
-    (cmd_deform) is conservative.
+    rows and of the spectrum rows are exact; the bounds on the deform rows
+    (_mu_bounds) are sound, and conservative only where no row reaches the
+    amplitudes they assume.
     """
     out = sys.stdout
     varying = len(header) - len(constants)
@@ -184,16 +185,28 @@ def _times(args, params: HOParams):
     return (t0 + span * i / steps for i in range(steps + 1))
 
 
-def _flow_scale(params: HOParams) -> float:
-    """max(1, p0/omega, p0, sqrt(2 p0)): the largest |q|, |p|, |Q|, |P| of
-    the flow, as flow computes its amplitudes (|sin|, |cos| <= 1), or 1."""
+def _flow_amplitudes(params: HOParams) -> tuple:
+    """(p0/omega, p0, sqrt(2 p0)), as flow computes them: bounds on |q|,
+    |p| and |Q|, |P| on every row, since |sin|, |cos| <= 1 and rounding is
+    monotone."""
     p0 = params.p0
-    return max(1.0, p0 / params.omega, p0, math.sqrt(2 * p0))
+    return p0 / params.omega, p0, math.sqrt(2 * p0)
 
 
-# covers the relative rounding of an mu entry and of its bound, each a few
-# units of 2**-53, so that a finite bound exceeds every entry
-_ROUNDING_MARGIN = 1 + 2.0 ** -20
+def _mu_bounds(C: OperadicParams, w: float, amplitudes) -> tuple:
+    """A bound on each entry of mu_slots over every row: its terms with q,
+    p, Q and P replaced by their amplitudes, taken in absolute value and
+    summed in mu_slots' order.  Rounding is monotone, so each bound is at
+    least the computed entry, with no margin.  An intermediate such as
+    c3 * w enters as computed: if it overflows, so does its bound."""
+    q, p, QP = amplitudes
+    c1, c2, c3, c4, c5, c6, c7, c8, c9 = map(abs, C)
+    c2w, c3w = abs(C.c2 * w), abs(C.c3 * w)
+    return (c5 * QP + c6 * QP,        # mu^1_12, mu^2_12
+            c9,                       # mu^3_12
+            c2 * p + c3w * q + c4,    # mu^1_23, mu^2_31
+            c2w * q + c3 * p + c1,    # mu^2_23, mu^1_31
+            c7 * QP + c8 * QP)        # mu^3_23, mu^3_31
 
 
 def cmd_deform(args) -> int:
@@ -201,15 +214,12 @@ def cmd_deform(args) -> int:
     params = _make_params(args)
     w = params.omega
     # one float conversion, not one per row: c9 of IIIa1 is an int
-    C = OperadicParams(*map(float, label_params(label, params.p0).as_tuple()))
+    C = OperadicParams(*map(float, label_params(label, params.p0)))
     header = ("t", "q", "p", "Q", "P") + tuple(
         f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
     times = _times(args, params)
-    # every mu entry sums at most three terms C_i, C_i x or (C_i w) x with
-    # |x| <= _flow_scale, so this finite bound (conservative) makes every
-    # row finite, q, p, Q and P included
-    _require_finite(sum(map(abs, C.as_tuple())) * max(1.0, w)
-                    * _flow_scale(params) * _ROUNDING_MARGIN)
+    amplitudes = _flow_amplitudes(params)
+    _require_finite(*amplitudes, *_mu_bounds(C, w, amplitudes))
     rows = (row + mu_slots(C, w, *row[1:]) for row in flow(params, times))
     _emit_rows(header, rows, args.format)
     return 0
@@ -220,7 +230,7 @@ def cmd_trajectory(args) -> int:
     times = _times(args, params)
     # exact: q = (p0/omega) sin, p, Q, P and H are finite on every row or on
     # none
-    _require_finite(_flow_scale(params), params.energy)
+    _require_finite(*_flow_amplitudes(params), params.energy)
     _emit_rows(("t", "q", "p", "Q", "P", "H"), flow(params, times),
                args.format, constants=(params.energy,))
     return 0

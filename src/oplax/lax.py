@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from ._lazy import LazyNumpy
@@ -41,19 +41,11 @@ class NotRepresentableError(ValueError):
     """Initial tensor is not antisymmetric in its lower indices."""
 
 
-@dataclass(frozen=True)
-class OperadicParams:
+class OperadicParams(namedtuple("OperadicParams",
+                                "c1 c2 c3 c4 c5 c6 c7 c8 c9")):
     """The nine parameters of the operadic Lax family."""
 
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c5: float
-    c6: float
-    c7: float
-    c8: float
-    c9: float
+    __slots__ = ()
 
     @classmethod
     def from_sequence(cls, values) -> "OperadicParams":
@@ -61,10 +53,6 @@ class OperadicParams:
         if len(vals) != 9:
             raise ValueError(f"expected 9 parameters, got {len(vals)}")
         return cls(*vals)
-
-    def as_tuple(self):
-        return (self.c1, self.c2, self.c3, self.c4, self.c5,
-                self.c6, self.c7, self.c8, self.c9)
 
     @property
     def admissible(self) -> bool:
@@ -87,12 +75,10 @@ def build_L(params: HOParams, point: PhasePoint) -> np.ndarray:
                     axis=-1).reshape(np.shape(p) + (3, 3))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport", "residual tol")):
     """Outcome of one Lax-equation check (residuals, for a stack)."""
 
-    residual: float | np.ndarray
-    tol: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -21,7 +21,7 @@ and is pinned by the TestBitwise tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ._lazy import LazyNumpy
@@ -37,32 +37,32 @@ class InvalidOperationError(ValueError):
     """Degree, dimension, or slot index out of range."""
 
 
-@dataclass(frozen=True)
-class MultiOp:
+class MultiOp(namedtuple("MultiOp", "degree dim coeffs")):
     """A multilinear operation V^(x)n -> V as a coordinate tensor.
 
     coeffs has shape (dim,) * (degree + 1); axis 0 is the output index.
     Immutable after construction.
     """
 
-    degree: int
-    dim: int
-    coeffs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidOperationError(f"degree must be >= 1, got {self.degree}")
-        if self.dim < 1:
-            raise InvalidOperationError(f"dim must be >= 1, got {self.dim}")
-        c = np.asarray(self.coeffs, dtype=float)
-        expected = (self.dim,) * (self.degree + 1)
+    def __new__(cls, degree: int, dim: int, coeffs: np.ndarray):
+        if degree < 1:
+            raise InvalidOperationError(f"degree must be >= 1, got {degree}")
+        if dim < 1:
+            raise InvalidOperationError(f"dim must be >= 1, got {dim}")
+        c = np.asarray(coeffs, dtype=float)
+        expected = (dim,) * (degree + 1)
         if c.shape != expected:
             raise InvalidOperationError(
                 f"coeffs shape {c.shape} != expected {expected}"
             )
         c = c.copy()
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, degree, dim, c)
+
+    # _replace builds through _make, which skips __new__: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def reduced_degree(self) -> int:

@@ -21,26 +21,28 @@ the convention under which {P, Q} = omega / (2 sqrt(2H)) comes out positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 
 class BranchPointError(ValueError):
     """(q, p) lies on the P = 0 branch (the p0 < 0 family, unsupported)."""
 
 
-@dataclass(frozen=True)
-class HOParams:
+class HOParams(namedtuple("HOParams", "omega p0")):
     """Oscillator parameters; energy E = p0^2 / 2 so that p0 = sqrt(2E)."""
 
-    omega: float
-    p0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-        if not 0 < self.p0 < math.inf:
-            raise ValueError(f"p0 must be finite and > 0, got {self.p0}")
+    def __new__(cls, omega: float, p0: float):
+        if not 0 < omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {omega}")
+        if not 0 < p0 < math.inf:
+            raise ValueError(f"p0 must be finite and > 0, got {p0}")
+        return super().__new__(cls, omega, p0)
+
+    # _replace builds through _make, which skips __new__: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def energy(self) -> float:
@@ -53,16 +55,10 @@ class HOParams:
         return cls(omega=omega, p0=math.sqrt(2 * energy))
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(namedtuple("PhasePoint", "t q p Q P H")):
     """Oscillator state with derived quasi-canonical coordinates."""
 
-    t: float
-    q: float
-    p: float
-    Q: float
-    P: float
-    H: float
+    __slots__ = ()
 
 
 def flow(params: HOParams, times):

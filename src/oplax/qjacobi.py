@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -251,14 +251,12 @@ def claimed_jacobi(btype: BianchiType, xi: tuple[NCPoly, NCPoly],
             PQ * (a * a * det * CoeffPoly.monomial(1, {"p0": -1}))]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(namedtuple("TheoremReport",
+                               "exact residuals delta_divisible")):
     """Machine comparison of the computed Jacobiator against the claimed
     closed forms, per component."""
 
-    exact: tuple
-    residuals: tuple
-    delta_divisible: tuple
+    __slots__ = ()
 
     @property
     def all_exact(self) -> bool:
@@ -353,17 +351,14 @@ def corollary_HE(btype: BianchiType) -> list[NCPoly]:
             for c in semiclassical_jacobi_hform(btype)]
 
 
-@dataclass(frozen=True)
-class DerivativeAlgebraReport:
-    """Commutator structure of the reduced Jacobiator components."""
+class DerivativeAlgebraReport(namedtuple(
+        "DerivativeAlgebraReport",
+        "C beta_sq bracket_13_zero bracket_23_zero bracket_12_matches "
+        "basis_brackets_ok rescaled_mu23_1")):
+    """Commutator structure of the reduced Jacobiator components: C and
+    beta_sq are CoeffPolys or None, rescaled_mu23_1 a Fraction."""
 
-    C: CoeffPoly | None
-    beta_sq: CoeffPoly | None
-    bracket_13_zero: bool
-    bracket_23_zero: bool
-    bracket_12_matches: bool
-    basis_brackets_ok: bool
-    rescaled_mu23_1: Fraction
+    __slots__ = ()
 
     @property
     def heisenberg_ok(self) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 def fmt(x) -> str:
@@ -20,13 +20,10 @@ def fmt(x) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    case_id: str
-    passed: bool
-    residual: float | None = None
-    tol: float | None = None
-    detail: str | None = None
+class CaseResult(namedtuple("CaseResult",
+                            "case_id passed residual tol detail",
+                            defaults=(None, None, None))):
+    __slots__ = ()
 
     def to_record(self) -> dict:
         rec = {"case": self.case_id, "pass": self.passed}
@@ -39,11 +36,10 @@ class CaseResult:
         return rec
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    seed: int | None = None
-    cases: list[CaseResult] = field(default_factory=list)
+    def __init__(self, name: str, seed: int | None = None):
+        self.name, self.seed = name, seed
+        self.cases: list[CaseResult] = []
 
     def add(self, case_id: str, passed, residual=None,
             tol: float | None = None, detail: str | None = None):

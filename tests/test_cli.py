@@ -143,6 +143,19 @@ class TestBoundChecks:
         assert len(rows) == steps + 1
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
+    @pytest.mark.parametrize("argv", (
+        # a bound of sum|C_i| times the largest factor refused these
+        ("deform", "--label", "IIIa1", "--omega", "1e308", "--t1", "1"),
+        ("deform", "--label", "VIIa", "--a", "1e300", "--omega", "1e10",
+         "--t1", "1"),
+    ))
+    def test_deform_bound_follows_each_term(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 101
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
 
 @pytest.mark.parametrize("code, argv", (
     (0, ("trajectory", "--t0", "-1e3", "--steps", "2")),
@@ -529,9 +542,9 @@ NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 SRC = str(Path(oplax.__file__).resolve().parent.parent)
 
 
-def run_child(code, *argv, stdout=subprocess.PIPE):
+def run_child(code, *argv, stdout=subprocess.PIPE, flags=()):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code, *argv],
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv],
                           stdout=stdout, stderr=subprocess.PIPE, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
 
@@ -625,6 +638,18 @@ class TestNumpyOnlyWhereItComputes:
         loaded = json.loads(child.stdout)
         assert "numpy" not in loaded
         assert {f"oplax.{name}" for name in CLI_MODULES} <= set(loaded)
+
+    def test_clean_import_leaves_start_up_modules_out(self):
+        """Without site (-S), whose .pth files may import typing, importing
+        the CLI loads none of numpy, dataclasses (and the inspect it pulls
+        in) or typing."""
+        child = run_child("import json, sys\nimport oplax.cli\n"
+                          "print(json.dumps(sorted(sys.modules)))",
+                          flags=("-S",))
+        assert child.returncode == 0, child.stderr.decode()
+        loaded = set(json.loads(child.stdout))
+        assert not {"numpy", "dataclasses", "inspect", "typing"} & loaded
+        assert {f"oplax.{name}" for name in CLI_MODULES} <= loaded
 
     @pytest.mark.parametrize("argv", (
         ("deform", "--label", "VIIa", "--a", "0.7", "--t0", "-1e1",

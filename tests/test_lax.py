@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -30,7 +29,7 @@ def random_params(rng) -> OperadicParams:
 class TestOperadicParams:
     def test_from_sequence_roundtrip(self):
         vals = tuple(float(i) for i in range(1, 10))
-        assert OperadicParams.from_sequence(vals).as_tuple() == vals
+        assert OperadicParams.from_sequence(vals) == vals
 
     def test_from_sequence_length(self):
         with pytest.raises(ValueError):
@@ -121,7 +120,7 @@ class TestSolveC:
             C = random_params(rng)
             mu0 = build_mu(C, params, point)
             C2 = solve_C(mu0, params.p0)
-            assert np.allclose(C.as_tuple(), C2.as_tuple(), atol=1e-12)
+            assert np.allclose(C, C2, atol=1e-12)
 
     def test_roundtrip_exact_fractions(self):
         # p0 with perfect-square 2 p0 makes the whole loop exact
@@ -134,7 +133,7 @@ class TestSolveC:
         C = OperadicParams(*[Fraction(k, 7) for k in range(1, 10)])
         mu0 = build_mu(C, params, point)
         C2 = solve_C(mu0, p0)
-        assert C2.as_tuple() == C.as_tuple()
+        assert C2 == C
         mu1 = build_mu(C2, params, point)
         assert mu1 == mu0
 
@@ -340,7 +339,7 @@ class TestLaxSuiteGates:
             rep = real(*args, **kwargs)
             residual = rep.residual.copy()
             residual[-1] = math.nan
-            return dataclasses.replace(rep, residual=residual)
+            return rep._replace(residual=residual)
 
         monkeypatch.setattr(suites, "verify_matrix_lax", nan_last)
         assert main(["verify", "--target", "lax", "--format", "json"]) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -292,11 +291,11 @@ class TestQuantumSuiteGates:
         def fake(btype, conv, alphabet):
             rep = real(btype, conv, alphabet)
             if broken == "left_inexact" and conv == "left":
-                return dataclasses.replace(rep, exact=(False, True, True))
+                return rep._replace(exact=(False, True, True))
             if broken == "right_lambda_free" and conv == "right":
                 res = rep.residuals
                 bumped = res[0] + NCPoly.scalar(res[0].table, 1)
-                return dataclasses.replace(rep, residuals=(bumped,) + res[1:])
+                return rep._replace(residuals=(bumped,) + res[1:])
             return rep
 
         monkeypatch.setattr(qj, "verify_theorem_q", fake)
@@ -375,7 +374,7 @@ class TestQuantumSuiteGates:
 
         def skewed(components):
             da = real(components)
-            return dataclasses.replace(da, beta_sq=da.beta_sq * factor)
+            return da._replace(beta_sq=da.beta_sq * factor)
 
         monkeypatch.setattr(qj, "derivative_algebra", skewed)
         assert not self.case_passed("spectrum_determinant")
