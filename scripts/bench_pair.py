@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -145,6 +146,9 @@ def main(argv=None) -> int:
                                check=True, text=True, capture_output=True)
                 .stdout.strip())
 
+    # a terminated run still removes its clones: SystemExit unwinds the
+    # with block, and subprocess.run kills the perfbench run it waits on
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
         sides = {name: Path(tmp, name) for name in ("parent", "change")}
         revisions = {name: checkout(repo, rev, sides[name])

@@ -140,16 +140,19 @@ def mu_slots(C: OperadicParams, w, q, p, Q, P) -> tuple:
     affine in (q, p, Q, P).  Scalar types of C and the point are preserved
     (floats or Fractions).
     """
+    # one unpacking, not 20 field lookups: the deform table calls this once
+    # a row
+    c1, c2, c3, c4, c5, c6, c7, c8, c9 = C
     return (
-        C.c5 * P + C.c6 * Q,                 # mu^1_12
-        C.c5 * Q - C.c6 * P,                 # mu^2_12
-        C.c9,                                # mu^3_12
-        C.c2 * p - C.c3 * w * q - C.c4,      # mu^1_23
-        C.c2 * w * q + C.c3 * p + C.c1,      # mu^2_23
-        C.c7 * Q - C.c8 * P,                 # mu^3_23
-        C.c2 * w * q + C.c3 * p - C.c1,      # mu^1_31
-        -(C.c2 * p - C.c3 * w * q + C.c4),   # mu^2_31
-        -(C.c7 * P + C.c8 * Q),              # mu^3_31
+        c5 * P + c6 * Q,                 # mu^1_12
+        c5 * Q - c6 * P,                 # mu^2_12
+        c9,                              # mu^3_12
+        c2 * p - c3 * w * q - c4,        # mu^1_23
+        c2 * w * q + c3 * p + c1,        # mu^2_23
+        c7 * Q - c8 * P,                 # mu^3_23
+        c2 * w * q + c3 * p - c1,        # mu^1_31
+        -(c2 * p - c3 * w * q + c4),     # mu^2_31
+        -(c7 * P + c8 * Q),              # mu^3_31
     )
 
 
