@@ -23,7 +23,7 @@ import time
 from . import qjacobi as qj
 from .bianchi import (BianchiLabel, BianchiType, label_params,
                       require_deformable)
-from .lax import SLOTS, OperadicParams, mu_slots
+from .lax import SLOTS, mu_slots
 from .oscillator import HOParams, flow
 from .suites import ALL_SUITES
 
@@ -193,15 +193,16 @@ def _flow_amplitudes(params: HOParams) -> tuple:
     return p0 / params.omega, p0, math.sqrt(2 * p0)
 
 
-def _mu_bounds(C: OperadicParams, w: float, amplitudes) -> tuple:
+def _mu_bounds(C: tuple, w: float, amplitudes) -> tuple:
     """A bound on each entry of mu_slots over every row: its terms with q,
     p, Q and P replaced by their amplitudes, taken in absolute value and
     summed in mu_slots' order.  Rounding is monotone, so each bound is at
     least the computed entry, with no margin.  An intermediate such as
-    c3 * w enters as computed: if it overflows, so does its bound."""
+    c3 * w enters as computed (|c3| w is |c3 w| exactly, w > 0): if it
+    overflows, so does its bound."""
     q, p, QP = amplitudes
     c1, c2, c3, c4, c5, c6, c7, c8, c9 = map(abs, C)
-    c2w, c3w = abs(C.c2 * w), abs(C.c3 * w)
+    c2w, c3w = c2 * w, c3 * w
     return (c5 * QP + c6 * QP,        # mu^1_12, mu^2_12
             c9,                       # mu^3_12
             c2 * p + c3w * q + c4,    # mu^1_23, mu^2_31
@@ -213,8 +214,9 @@ def cmd_deform(args) -> int:
     label = _make_label(args)
     params = _make_params(args)
     w = params.omega
-    # one float conversion, not one per row: c9 of IIIa1 is an int
-    C = OperadicParams(*map(float, label_params(label, params.p0)))
+    # one float conversion, not one per row (c9 of IIIa1 is an int), into a
+    # plain tuple: mu_slots unpacks C once a row, fastest from an exact tuple
+    C = tuple(map(float, label_params(label, params.p0)))
     header = ("t", "q", "p", "Q", "P") + tuple(
         f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
     times = _times(args, params)

@@ -138,7 +138,7 @@ def mu_slots(C: OperadicParams, w, q, p, Q, P) -> tuple:
 
     This is the one statement of the operadic family: each component is
     affine in (q, p, Q, P).  Scalar types of C and the point are preserved
-    (floats or Fractions).
+    (floats or Fractions).  C may also be a plain tuple of the nine values.
     """
     # one unpacking, not 20 field lookups: the deform table calls this once
     # a row
