@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark of two revisions of oplax, written as a BENCH_<n>.json.
 
-    python3 scripts/bench_pair.py --parent HEAD~1 --first-seed 91 \\
+    python3 scripts/bench_pair.py --parent HEAD~1 --first-seed 141 \\
         --claim quantum_jacobi:setup_s --out BENCH_14.json
 
 Run from the repository.  The parent revision and HEAD are cloned from it
