@@ -9,8 +9,9 @@ Deformations are produced two independent ways: through the 9-parameter
 operadic family (solve_C then build_mu along the trajectory) and through
 stored closed forms; the test suite asserts the two agree.  Type II
 (Heisenberg) is data-only: it has no deformation row.  StructureConstants,
-deformation_closed_form and classical_jacobiator take stacks of samples and
-load numpy on first use; label_params (the CLI's deform table) does not.
+dynamical_deformation, deformation_closed_form and classical_jacobiator
+take stacks of samples and load numpy on first use; label_params (the
+CLI's deform table) does not.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from enum import Enum
 from ._lazy import LazyNumpy
 from .lax import (OperadicParams, antisymmetric, build_mu, phase_points,
                   solve_C)
-from .oscillator import HOParams, trajectory
+from .oscillator import HOParams
 
 np = LazyNumpy(globals())
 
@@ -126,12 +127,12 @@ def label_params(label: BianchiLabel, p0, sqrt_2p0=None) -> OperadicParams:
 
 
 def dynamical_deformation(label: BianchiLabel, params: HOParams,
-                          t: float) -> StructureConstants:
-    """Deformed structure tensor at time t, generated via the operadic family."""
+                          t) -> StructureConstants:
+    """Deformed structure tensor at time t, generated via the operadic
+    family (a stack of them for a stack of times)."""
     C = label_params(label, params.p0)
-    point = trajectory(params, t)
-    return StructureConstants(np.asarray(build_mu(C, params, point),
-                                         dtype=float))
+    mu = build_mu(C, params, phase_points(params, t))
+    return StructureConstants(mu.reshape(np.shape(t) + (3, 3, 3)))
 
 
 def deformation_closed_form(label: BianchiLabel, params: HOParams,

@@ -42,13 +42,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
-    return value
-
-
 def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -148,13 +141,8 @@ def cmd_verify(args) -> int:
         names = [args.target]
     all_pass = True
     for name in names:
-        kwargs = {"seed": args.seed}
-        if name == "lax":
-            kwargs["tol_fd"] = args.tol_fd
-        if name == "bianchi":
-            kwargs["tol_exact_float"] = args.tol_exact_float
         start = time.monotonic()
-        report = ALL_SUITES[name](**kwargs)
+        report = ALL_SUITES[name](seed=args.seed)
         elapsed = time.monotonic() - start
         if args.format == "json":
             print(report.render_json())
@@ -253,12 +241,9 @@ def _label_fields(btype: BianchiType) -> tuple:
 
 def cmd_jacobi(args) -> int:
     btype = _LABELS[args.label]
-    # the symbolic pipeline keeps a as a symbol; a numeric --a is only
-    # validated for domain
+    # the symbolic pipeline keeps a as a symbol
     try:
         require_deformable(btype)
-        if args.a is not None:
-            BianchiLabel(btype, args.a)
     except ValueError as exc:
         _fail_usage(str(exc))
     alphabet = "PQ" if args.alphabet == "pq" else "qpPQ"
@@ -338,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="run verification suites")
     v.add_argument("--target", choices=("all", *ALL_SUITES), default="all")
     v.add_argument("--seed", type=_seed, default=42)
-    v.add_argument("--tol-fd", type=_tolerance, default=1e-6,
-                   help="finite-difference residual tolerance")
-    v.add_argument("--tol-exact-float", type=_tolerance, default=1e-12,
-                   help="tolerance for identities exact up to rounding")
     v.add_argument("--format", choices=("text", "json"), default="text")
 
     d = subs.add_parser("deform", help="dynamical deformation table")
@@ -354,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = subs.add_parser("jacobi", help="quantum Jacobi operator report")
     j.add_argument("--label", choices=tuple(_LABELS), required=True)
-    j.add_argument("--a", type=_finite_float, default=None)
     j.add_argument("--convention", choices=("left", "right"),
                    default="left")
     j.add_argument("--alphabet", choices=("pq", "qpPQ"), default="pq")

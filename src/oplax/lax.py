@@ -16,11 +16,13 @@ the CLI's deform table both read them from there.  mu_slots, antisymmetric,
 build_mu, solve_C and mu_time_derivative use plain Python arithmetic and
 work with floats or exact Fractions alike, without loading numpy; the numpy
 layer only enters in the verification routines: build_M, build_L,
-phase_points, ResidualReport.passed and the verify_* routines load it on
-first use.  On arrays (phase_points, C with array fields) the same
-arithmetic gives a stack of samples; the verify_* routines take a 1-D stack
-of times (a scalar is a stack of one) and give each sample's residual
-bitwise as alone.
+phase_points and the verify_* routines load it on first use.  On arrays
+(phase_points, C with array fields) the same arithmetic gives a stack of
+samples; the verify_* routines take a 1-D stack of times (a scalar is a
+stack of one) and return each sample's residual bitwise as alone: a float
+for a scalar time, an array for a stack.  They judge nothing: the suite
+case that reads a residual states its tolerance.  Their finite differences
+are central, with the one step FD_STEP.
 """
 
 from __future__ import annotations
@@ -75,16 +77,6 @@ def build_L(params: HOParams, point: PhasePoint) -> np.ndarray:
                     axis=-1).reshape(np.shape(p) + (3, 3))
 
 
-class ResidualReport(namedtuple("ResidualReport", "residual tol")):
-    """Outcome of one Lax-equation check (residuals, for a stack)."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.residual <= self.tol))
-
-
 def phase_points(params: HOParams, times) -> PhasePoint:
     """oscillator.trajectory at each of times (a number is a stack of one),
     as one PhasePoint of 1-D float arrays."""
@@ -92,18 +84,19 @@ def phase_points(params: HOParams, times) -> PhasePoint:
     return PhasePoint(*rows.reshape(-1, 5).T, H=params.energy)
 
 
-def verify_matrix_lax(params: HOParams, t, dt: float = 1e-5,
-                      tol: float = 1e-6) -> ResidualReport:
+# the time step of the central differences in the verify_* routines
+FD_STEP = 1e-5
+
+
+def verify_matrix_lax(params: HOParams, t) -> float | np.ndarray:
     """Max-norm of central-difference dL/dt minus (ML - LM) at time t."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    Lp = build_L(params, phase_points(params, t + dt))
-    Lm = build_L(params, phase_points(params, t - dt))
-    dL = (Lp - Lm) / (2 * dt)
+    Lp = build_L(params, phase_points(params, t + FD_STEP))
+    Lm = build_L(params, phase_points(params, t - FD_STEP))
+    dL = (Lp - Lm) / (2 * FD_STEP)
     L = build_L(params, phase_points(params, t))
     M = build_M(params.omega)
     residual = np.abs(dL - (M @ L - L @ M)).max(axis=(1, 2))
-    return ResidualReport(residual.reshape(np.shape(t))[()], tol)
+    return residual.reshape(np.shape(t))[()]
 
 
 # The nine independent components mu^i_{jk}, 0-based, in table order:
@@ -239,8 +232,7 @@ def mu_time_derivative(C: OperadicParams, params: HOParams,
 
 
 def verify_operadic_lax(C: OperadicParams, params: HOParams, t,
-                        mode: str = "analytic", dt: float = 1e-5,
-                        tol: float | None = None) -> ResidualReport:
+                        mode: str = "analytic") -> float | np.ndarray:
     """Residual of dmu/dt = [M, mu] at time t (C's fields as long as t).
 
     mode "analytic" differentiates the closed forms (chain rule); mode "fd"
@@ -248,18 +240,14 @@ def verify_operadic_lax(C: OperadicParams, params: HOParams, t,
     """
     if mode not in ("analytic", "fd"):
         raise ValueError(f"unknown mode {mode!r}")
-    if tol is None:
-        tol = 1e-12 if mode == "analytic" else 1e-6
     point = phase_points(params, t)
     if mode == "analytic":
         lhs = mu_time_derivative(C, params, point)
     else:
-        if not dt > 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        mp = build_mu(C, params, phase_points(params, t + dt))
-        mm = build_mu(C, params, phase_points(params, t - dt))
-        lhs = (mp - mm) / (2 * dt)
+        mp = build_mu(C, params, phase_points(params, t + FD_STEP))
+        mm = build_mu(C, params, phase_points(params, t - FD_STEP))
+        lhs = (mp - mm) / (2 * FD_STEP)
     mu = build_mu(C, params, point)
     M = np.broadcast_to(build_M(params.omega), mu.shape[:1] + (3, 3))
     residual = np.abs(lhs - _bracket(M, 1, mu, 2)).max(axis=(1, 2, 3))
-    return ResidualReport(residual.reshape(np.shape(t))[()], tol)
+    return residual.reshape(np.shape(t))[()]

@@ -11,7 +11,7 @@ from oplax.bianchi import (BianchiLabel, BianchiType, StructureConstants,
                            label_params, structure_constants)
 from oplax.cli import main
 from oplax.lax import _exact_sqrt, build_mu, solve_C
-from oplax.oscillator import HOParams, PhasePoint
+from oplax.oscillator import HOParams, PhasePoint, trajectory
 from oplax.suites import CHUNK, _chunked, bianchi_suite
 
 # stack sizes of the stacked checks; the last needs two chunks
@@ -206,6 +206,26 @@ class TestStacked:
             assert np.array_equal(arr, alone), ti
 
     @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("label", DEFORMABLE[1:4])
+    def test_dynamical_deformation(self, batch, label):
+        """Each time of a stack gives its tensor as alone, and as the nested
+        lists build_mu makes at that time's trajectory point."""
+        rng = np.random.default_rng(batch)
+        params = HOParams(omega=1.3, p0=0.9)
+        C = label_params(label, params.p0)
+        t = rng.uniform(0.0, 12.0, size=batch)
+        stacked = _chunked(
+            lambda t: dynamical_deformation(label, params, t).array, t)
+        assert stacked.shape == (batch, 3, 3, 3)
+        for ti, arr in zip(t, stacked):
+            alone = dynamical_deformation(label, params, float(ti)).array
+            assert alone.shape == (3, 3, 3)
+            assert np.array_equal(arr, alone), ti
+            reference = build_mu(C, params, trajectory(params, float(ti)))
+            # bit for bit, the signs of zeros included
+            assert alone.tobytes() == np.array(reference, float).tobytes()
+
+    @pytest.mark.parametrize("batch", BATCHES)
     def test_classical_jacobiator(self, batch):
         rng = np.random.default_rng(batch)
         label = DEFORMABLE[0]
@@ -214,10 +234,8 @@ class TestStacked:
         x, y, z = rng.uniform(-5.0, 5.0, size=(3, batch, 3))
 
         def jacobiator(t, x, y, z):
-            sc = StructureConstants(
-                np.stack([dynamical_deformation(label, params, float(ti))
-                          .array for ti in t]))
-            return classical_jacobiator(sc, x, y, z)
+            return classical_jacobiator(
+                dynamical_deformation(label, params, t), x, y, z)
 
         stacked = _chunked(jacobiator, t, x, y, z)
         for b in range(batch):
@@ -245,15 +263,17 @@ class TestBianchiSuiteGates:
     """The stacked cases of the bianchi suite fail when their check
     breaks."""
 
-    def test_no_samples_fails_closed_form_case(self):
-        """At t_samples=0 deformation_closed_forms checks nothing, and fails
-        without a residual; the other cases keep their samples."""
-        cases = {c.case_id: c for c in bianchi_suite(t_samples=0).cases}
+    def test_no_samples_fails_closed_form_case(self, monkeypatch):
+        """At T_SAMPLES = 0 deformation_closed_forms checks nothing, and
+        fails without a residual; the other cases keep their samples."""
+        monkeypatch.setattr(suites, "T_SAMPLES", 0)
+        cases = {c.case_id: c for c in bianchi_suite().cases}
         case = cases.pop("deformation_closed_forms")
         assert (case.passed, case.residual, case.detail) \
             == (False, None, "samples=0")
         assert all(c.passed for c in cases.values())
-        assert bianchi_suite(t_samples=1).passed
+        monkeypatch.setattr(suites, "T_SAMPLES", 1)
+        assert bianchi_suite().passed
 
     def test_closed_form_sign_flip_fails(self, monkeypatch, capsys):
         real = suites.deformation_closed_form

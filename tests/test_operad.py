@@ -300,16 +300,18 @@ class TestBatchedSuite:
         stack per dim and degrees) gives the per-sample residuals."""
         if batch_bytes is not None:
             monkeypatch.setattr(suites, "BATCH_BYTES", batch_bytes)
-        cases = {c.case_id: c for c in suites.operad_suite(seed, 300).cases}
+        monkeypatch.setattr(suites, "OPERAD_SAMPLES", 300)
+        cases = {c.case_id: c for c in suites.operad_suite(seed).cases}
         deg, anti, jacobi = reference_operad_residuals(seed, 300)
         assert cases["degree_bookkeeping"].passed is deg is True
         assert cases["graded_antisymmetry"].residual == anti
         assert cases["graded_jacobi_relative"].residual == jacobi
         assert jacobi > 0.0
 
-    def test_suite_without_samples_fails(self):
+    def test_suite_without_samples_fails(self, monkeypatch):
         """No sample checks nothing: every case of the suite fails."""
-        report = suites.operad_suite(samples=0)
+        monkeypatch.setattr(suites, "OPERAD_SAMPLES", 0)
+        report = suites.operad_suite()
         assert report.failures == len(report.cases) == 3
 
     def test_ungraded_sign_rule_fails_antisymmetry(self, monkeypatch):

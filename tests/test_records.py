@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oplax.bianchi import BianchiLabel, BianchiType, StructureConstants
-from oplax.lax import OperadicParams, ResidualReport
+from oplax.lax import OperadicParams
 from oplax.operad import InvalidOperationError, MultiOp
 from oplax.oscillator import HOParams, PhasePoint
 from oplax.qjacobi import DerivativeAlgebraReport, TheoremReport
@@ -23,7 +23,6 @@ RECORDS = (
     (BianchiLabel, {"type": BianchiType.VIA, "a": 2.5}),
     (StructureConstants, {"array": np.zeros((3, 3, 3))}),
     (OperadicParams, {f"c{i}": float(i) for i in range(1, 10)}),
-    (ResidualReport, {"residual": 1e-13, "tol": 1e-12}),
     (MultiOp, {"degree": 1, "dim": 2, "coeffs": np.eye(2)}),
     (TheoremReport, {"exact": (True, True, False), "residuals": (0, 0, 1),
                      "delta_divisible": (True, True, True)}),
