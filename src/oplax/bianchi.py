@@ -78,10 +78,6 @@ class StructureConstants(namedtuple("StructureConstants", "array")):
     # _replace builds through _make, which skips __new__: validate there too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def component(self, i: int, j: int, k: int):
-        """1-based lookup matching the mu^i_{jk} notation."""
-        return self.array[..., i - 1, j - 1, k - 1]
-
 
 # (alpha, n1, n2, n3) with a the family parameter where applicable
 _PARAMS = {
@@ -120,10 +116,10 @@ def require_deformable(btype: BianchiType) -> None:
         )
 
 
-def label_params(label: BianchiLabel, p0, sqrt_2p0=None) -> OperadicParams:
+def label_params(label: BianchiLabel, p0) -> OperadicParams:
     """Operadic parameters whose t = 0 tensor is the Bianchi row."""
     require_deformable(label.type)
-    return solve_C(_row_tensor(label), p0, sqrt_2p0=sqrt_2p0)
+    return solve_C(_row_tensor(label), p0)
 
 
 def dynamical_deformation(label: BianchiLabel, params: HOParams,

@@ -171,7 +171,7 @@ def _exact_sqrt(x: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def solve_C(initial_mu, p0, sqrt_2p0=None) -> OperadicParams:
+def solve_C(initial_mu, p0) -> OperadicParams:
     """Invert the t = 0 tensor for C1..C9 (p0 > 0 branch).
 
     initial_mu is any 3x3x3 tensor antisymmetric in the lower indices; a
@@ -189,9 +189,7 @@ def solve_C(initial_mu, p0, sqrt_2p0=None) -> OperadicParams:
                         f"mu^{i+1}_{{{j+1}{k+1}}} breaks antisymmetry; "
                         "tensor is outside the operadic ansatz"
                     )
-    if sqrt_2p0 is not None:
-        r = sqrt_2p0
-    elif isinstance(p0, Fraction):
+    if isinstance(p0, Fraction):
         r = _exact_sqrt(2 * p0)
     else:
         r = math.sqrt(2 * p0)

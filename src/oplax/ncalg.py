@@ -68,9 +68,7 @@ class CoeffPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None, _canonical: bool = False):
-        if terms is None:
-            terms = {}
+    def __init__(self, terms: dict, _canonical: bool = False):
         if _canonical:
             self.terms = terms
             return
@@ -161,12 +159,6 @@ class CoeffPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -320,10 +312,10 @@ class CommutationTable:
     reduces the inversion count, so normal ordering terminates.
     """
 
-    def __init__(self, letters: tuple, rules: dict | None = None):
+    def __init__(self, letters: tuple, rules: dict):
         self.letters = tuple(letters)
         self.order = {name: i for i, name in enumerate(self.letters)}
-        self.rules = dict(rules or {})
+        self.rules = dict(rules)
         for (hi, lo), c in self.rules.items():
             if self.order[hi] <= self.order[lo]:
                 raise ValueError(f"rule ({hi}, {lo}) is not order-reducing")
@@ -357,7 +349,7 @@ class CommutationTable:
         return result
 
 
-def quasi_ccr_table(letters: tuple = ("P", "Q")) -> CommutationTable:
+def quasi_ccr_table(letters: tuple) -> CommutationTable:
     """Quasi-CCR: Q P -> P Q - lambda * eps; all other pairs commute."""
     if "P" not in letters or "Q" not in letters:
         raise ValueError("quasi-CCR table needs letters P and Q")
@@ -402,10 +394,6 @@ class NCPoly:
     @classmethod
     def letter(cls, table, name: str) -> "NCPoly":
         return cls(table, {(name,): 1})
-
-    @classmethod
-    def word(cls, table, letters, coeff=1) -> "NCPoly":
-        return cls(table, {tuple(letters): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -467,12 +455,6 @@ class NCPoly:
             for w2, c2 in other.terms.items():
                 _accumulate(raw, w1 + w2, c1 * c2)
         return NCPoly(self.table, raw)
-
-    def __rmul__(self, other):
-        # scalar coefficients are central
-        if isinstance(other, (CoeffPoly, Rational)):
-            return self.__mul__(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):

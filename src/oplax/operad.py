@@ -69,26 +69,6 @@ class MultiOp(namedtuple("MultiOp", "degree dim coeffs")):
         return self.degree - 1
 
 
-def identity_op(d: int) -> MultiOp:
-    """The identity 1_V as a degree-1 operation."""
-    if d < 1:
-        raise InvalidOperationError(f"dimension must be >= 1, got {d}")
-    return MultiOp(1, d, np.eye(d))
-
-
-def apply_op(f: MultiOp, *vectors: np.ndarray) -> np.ndarray:
-    """Evaluate f on degree-many vectors."""
-    if len(vectors) != f.degree:
-        raise InvalidOperationError(
-            f"expected {f.degree} vectors, got {len(vectors)}"
-        )
-    out = f.coeffs
-    for v in vectors:
-        # contract the first input axis (axis 1 after the output axis)
-        out = np.tensordot(out, np.asarray(v, dtype=float), axes=([1], [0]))
-    return out
-
-
 def _check_dims(f: MultiOp, g: MultiOp):
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dim mismatch: {f.dim} != {g.dim}")

@@ -77,8 +77,8 @@ def trajectory(params: HOParams, t: float) -> PhasePoint:
     return PhasePoint(*next(flow(params, (t,))), H=params.energy)
 
 
-def quasi_from_phase(params: HOParams, q: float, p: float,
-                     tol: float = 1e-12) -> tuple[float, float]:
+def quasi_from_phase(params: HOParams, q: float,
+                     p: float) -> tuple[float, float]:
     """Reconstruct (Q, P) from (q, p), taking the P > 0 root.
 
     Valid away from the branch point sqrt(2H) + p = 0; there the P = 0
@@ -87,9 +87,9 @@ def quasi_from_phase(params: HOParams, q: float, p: float,
     w = params.omega
     H = (p * p + w * w * q * q) / 2
     s = math.sqrt(2 * H)
-    if s + p <= tol:
+    if s + p <= 1e-12:
         raise BranchPointError(
-            f"sqrt(2H) + p = {s + p} <= tol; point is on the P = 0 branch"
+            f"sqrt(2H) + p = {s + p} <= 1e-12; point is on the P = 0 branch"
         )
     P = math.sqrt(s + p)
     Q = w * q / P
@@ -98,13 +98,15 @@ def quasi_from_phase(params: HOParams, q: float, p: float,
 
 PhaseFunction = Callable[[float, float], float]
 
+# central-difference step of poisson_bracket and of the lax suite's velocities
+DIFF_STEP = 1e-6
+
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction,
-                    at: tuple[float, float], step: float = 1e-6) -> float:
+                    at: tuple[float, float]) -> float:
     """Central-difference {f, g} = f_p g_q - f_q g_p at (q, p)."""
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
     q, p = at
+    step = DIFF_STEP
     fq = (f(q + step, p) - f(q - step, p)) / (2 * step)
     fp = (f(q, p + step) - f(q, p - step)) / (2 * step)
     gq = (g(q + step, p) - g(q - step, p)) / (2 * step)

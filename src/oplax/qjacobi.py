@@ -51,8 +51,8 @@ def table_for(alphabet: str) -> CommutationTable:
         raise ValueError(f"unknown alphabet {alphabet!r}") from None
 
 
-def _sym(name: str, exp: int = 1) -> CoeffPoly:
-    return CoeffPoly.symbol(name, exp)
+def _sym(name: str) -> CoeffPoly:
+    return CoeffPoly.symbol(name)
 
 
 def momentum_poly(table: CommutationTable) -> NCPoly:
@@ -106,27 +106,6 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 
-def q_bracket(x: tuple, y: tuple, qsc, conv: str = "left") -> tuple:
-    """[x, y] with components sum_{jk} mu^i_{jk} * x^j y^k for 3-tuples x,
-    y; conv fixes the placement of the structure constant against the
-    component product."""
-    if conv not in ("left", "right"):
-        raise ValueError(f"unknown convention {conv!r}")
-    table = qsc[0][0][1].table
-    comps = []
-    for i in range(3):
-        acc = NCPoly.zero(table)
-        for j in range(3):
-            for k in range(3):
-                m = qsc[i][j][k]
-                if m.is_zero:
-                    continue
-                prod = x[j] * y[k]
-                acc = acc + (m * prod if conv == "left" else prod * m)
-        comps.append(acc)
-    return tuple(comps)
-
-
 def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
                  conv: str = "left") -> tuple:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] with the quantum bracket, for
@@ -150,6 +129,8 @@ def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
         raise ValueError(f"unknown convention {conv!r}")
     xs, ys, zs = ([c.scalar_part() for c in e] for e in (x, y, z))
     zero = NCPoly.zero(qsc[0][0][1].table)
+    # q_structure's mu is always antisymmetric, but without this check a mu
+    # that is not would pass each jacobi_delta_divisible_* case by construction
     skew = all(qsc[k][c][b] == -qsc[k][b][c]
                for k, b, c in product(range(3), repeat=3))
     T = {}

@@ -22,7 +22,7 @@ from .lax import (OperadicParams, _exact_sqrt, build_mu, phase_points,
                   solve_C, verify_matrix_lax, verify_operadic_lax)
 from .ncalg import CoeffPoly, NCPoly
 from .operad import MultiOp, gerstenhaber, graded_lie_residuals
-from .oscillator import (HOParams, PhasePoint, poisson_bracket,
+from .oscillator import (DIFF_STEP, HOParams, PhasePoint, poisson_bracket,
                          quasi_from_phase)
 from .report import SuiteReport
 
@@ -154,7 +154,7 @@ def lax_suite(seed: int = 42) -> SuiteReport:
 
     # quasi-canonical velocities by finite differences
     params = HOParams(omega=1.3, p0=0.9)
-    dt = 1e-6
+    dt = DIFF_STEP
     t = np.linspace(0.0, 8.0, 40)
     a = phase_points(params, t - dt)
     b = phase_points(params, t + dt)

@@ -57,9 +57,9 @@ class TestStructureConstants:
 
     def test_component_is_one_based(self):
         sc = structure_constants(BianchiLabel(BianchiType.II))
-        # Heisenberg: [e2, e3] = e1 only
-        assert sc.component(1, 2, 3) == 1
-        assert sc.component(1, 3, 2) == -1
+        # Heisenberg: [e2, e3] = e1 only, so mu^1_23 = 1 sits at [0, 1, 2]
+        assert sc.array[..., 0, 1, 2] == 1
+        assert sc.array[..., 0, 2, 1] == -1
         assert np.count_nonzero(sc.array) == 2
 
     @pytest.mark.parametrize("label", DEFORMABLE)
@@ -70,11 +70,11 @@ class TestStructureConstants:
     def test_viia_rows(self):
         sc = structure_constants(BianchiLabel(BianchiType.VIIA, 0.7))
         # [e1,e2] = -a e2 + e3, [e2,e3] = 0, [e3,e1] = e2 + a e3
-        assert sc.component(2, 1, 2) == -0.7
-        assert sc.component(3, 1, 2) == 1
-        assert sc.component(1, 2, 3) == 0
-        assert sc.component(2, 3, 1) == 1
-        assert sc.component(3, 3, 1) == 0.7
+        assert sc.array[..., 1, 0, 1] == -0.7
+        assert sc.array[..., 2, 0, 1] == 1
+        assert sc.array[..., 0, 1, 2] == 0
+        assert sc.array[..., 1, 2, 0] == 1
+        assert sc.array[..., 2, 2, 0] == 0.7
 
     def test_via_vs_iiia1(self):
         # III_{a=1} is VI_a continued to a = 1

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -403,6 +404,23 @@ class TestJacobi:
             outs.append(json.loads(out))
         assert calls == ["corollary_HE", "derivative_algebra"]
         assert outs[0]["h_equals_e"] == outs[1]["h_equals_e"]
+
+    def test_reports_are_unchanged(self, capsys):
+        """The 12 JSON reports, label by convention by alphabet, pinned by
+        one sha256: exact rational text with no BLAS in the path, so the
+        pin holds on every platform."""
+        reports = []
+        for label in ("VIIa", "IIIa1", "VIa"):
+            for convention in ("left", "right"):
+                for alphabet in ("pq", "qpPQ"):
+                    code, out, _ = run_cli(
+                        capsys, "jacobi", "--label", label, "--convention",
+                        convention, "--alphabet", alphabet, "--format",
+                        "json")
+                    assert code == 0
+                    reports.append(out)
+        assert hashlib.sha256("".join(reports).encode()).hexdigest() == (
+            "4742fead75442236f1bd837c135d5dbc097456bfd4b7098bc423a07c01590d5a")
 
     def test_type_ii_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "jacobi", "--label", "II")

@@ -41,8 +41,8 @@ def nc_polys(draw):
     n = draw(st.integers(0, 3))
     poly = NCPoly.zero(TABLE)
     for _ in range(n):
-        poly = poly + NCPoly.word(TABLE, draw(words),
-                                  CoeffPoly.number(draw(fractions)))
+        poly = poly + NCPoly(TABLE, {draw(words):
+                                     CoeffPoly.number(draw(fractions))})
     return poly
 
 
@@ -294,7 +294,7 @@ class TestKernelAgainstDenseReference:
 
 class TestCommutationTable:
     def test_quasi_ccr_rule(self):
-        x = NCPoly.word(TABLE, ("Q", "P"))
+        x = NCPoly(TABLE, {("Q", "P"): 1})
         expected = NCPoly(TABLE, {("P", "Q"): 1, (): -(LAM * EPS)})
         assert x == expected
 
@@ -308,17 +308,17 @@ class TestCommutationTable:
 
     def test_free_letters_commute(self):
         t = quasi_ccr_table(("q", "p", "P", "Q"))
-        assert NCPoly.word(t, ("p", "q")) == NCPoly.word(t, ("q", "p"))
-        assert NCPoly.word(t, ("P", "q")) == NCPoly.word(t, ("q", "P"))
+        assert NCPoly(t, {("p", "q"): 1}) == NCPoly(t, {("q", "p"): 1})
+        assert NCPoly(t, {("P", "q"): 1}) == NCPoly(t, {("q", "P"): 1})
 
     def test_long_word_terminates_and_orders(self):
-        x = NCPoly.word(TABLE, ("Q", "Q", "P", "P"))
+        x = NCPoly(TABLE, {("Q", "Q", "P", "P"): 1})
         for word in x.terms:
             assert list(word) == sorted(word, key=TABLE.order.__getitem__)
 
     def test_unknown_letter(self):
         with pytest.raises(KeyError):
-            NCPoly.word(TABLE, ("Z",))
+            NCPoly(TABLE, {("Z",): 1})
 
 
 # -- quotient algebra -----------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 
 from oplax import operad, suites
 from oplax.operad import (DimensionMismatchError, InvalidOperationError,
-                          MultiOp, _bracket, _partial, _total, apply_op,
-                          gerstenhaber, graded_lie_residuals, identity_op,
-                          partial_compose, total_compose)
+                          MultiOp, _bracket, _partial, _total, gerstenhaber,
+                          graded_lie_residuals, partial_compose,
+                          total_compose)
 
 
 def random_op(rng, dim, degree=None, max_degree=3):
@@ -34,36 +34,19 @@ def brute_partial_compose(f, g, i):
     return out
 
 
-class TestIdentity:
-    def test_identity_matrix(self):
-        assert np.array_equal(identity_op(3).coeffs, np.eye(3))
-
-    def test_dim_one(self):
-        assert identity_op(1).coeffs.ravel().tolist() == [1.0]
-
-    def test_apply_is_identity(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=3)
-        assert np.allclose(apply_op(identity_op(3), v), v)
-
-    def test_zero_dim_rejected(self):
-        with pytest.raises(InvalidOperationError):
-            identity_op(0)
-
-
 class TestPartialCompose:
     def test_identity_insertion_is_noop(self):
         rng = np.random.default_rng(1)
         f = random_op(rng, 3, degree=2)
-        ident = identity_op(3)
+        ident = MultiOp(1, 3, np.eye(3))
         for i in (0, 1):
             assert np.allclose(partial_compose(f, ident, i).coeffs, f.coeffs)
 
     def test_identity_outer(self):
         rng = np.random.default_rng(2)
         g = random_op(rng, 3, degree=3)
-        assert np.allclose(partial_compose(identity_op(3), g, 0).coeffs,
-                           g.coeffs)
+        ident = MultiOp(1, 3, np.eye(3))
+        assert np.allclose(partial_compose(ident, g, 0).coeffs, g.coeffs)
 
     def test_scalar_multiplication_sign(self):
         # d=1: f = g = xy; inserting at slot 1 picks up (-1)^(1*1)
@@ -190,7 +173,7 @@ class TestTotalCompose:
         rng = np.random.default_rng(6)
         for degree in (1, 2, 3):
             f = random_op(rng, 3, degree=degree)
-            res = total_compose(f, identity_op(3))
+            res = total_compose(f, MultiOp(1, 3, np.eye(3)))
             assert np.allclose(res.coeffs, degree * f.coeffs)
 
     def test_scalar_multiplication_cancels(self):

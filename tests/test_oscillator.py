@@ -122,7 +122,7 @@ class TestPoissonBracket:
         def Q(q, p):
             return quasi_from_phase(params, q, p)[0]
 
-        val = poisson_bracket(P, Q, (0.0, params.p0), step=1e-6)
+        val = poisson_bracket(P, Q, (0.0, params.p0))
         assert val == pytest.approx(params.omega / (2 * params.p0), abs=1e-6)
 
     def test_poisson_theorem_random_points(self):
@@ -144,7 +144,3 @@ class TestPoissonBracket:
 
             assert poisson_bracket(P, Q, (q, p)) == pytest.approx(
                 w / (2 * s), abs=1e-5)
-
-    def test_step_domain(self):
-        with pytest.raises(ValueError):
-            poisson_bracket(lambda q, p: p, lambda q, p: q, (0, 1), step=0.0)

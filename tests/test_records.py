@@ -82,6 +82,7 @@ INVALID = (
      InvalidOperationError),
     (StructureConstants(np.zeros((3, 3, 3))), {"array": np.zeros((3, 3))},
      ValueError),
+    (MultiOp(1, 2, np.eye(2)), {"dim": 0}, InvalidOperationError),
 )
 
 
