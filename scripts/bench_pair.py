@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import signal
 import statistics
 import subprocess
@@ -93,6 +94,18 @@ def claim_verdict(summary: dict, better: str) -> dict:
     met = (summary["pairs_won"] >= CLAIM_SHARE * pairs and drop > iqr)
     return {"pairs_won": summary["pairs_won"], "pairs": pairs,
             "median_gain": drop, "parent_iqr": iqr, "met": met}
+
+
+def script_line(args: argparse.Namespace) -> str:
+    """The command that wrote the record, as protocol.script gives it: --out
+    by its file name, which is where the record is committed."""
+    words = ["scripts/bench_pair.py", "--parent", args.parent,
+             "--first-seed", str(args.first_seed)]
+    if args.claim:
+        words += ["--claim", args.claim]
+    for note in args.note:
+        words += ["--note", note]
+    return shlex.join(words + ["--out", args.out.name])
 
 
 def checkout(repo: Path, rev: str, where: Path) -> str:
@@ -203,8 +216,7 @@ def main(argv=None) -> int:
                      "the parent; each side runs from its own clone at its "
                      "revision; workloads in the order "
                      + ", ".join(workloads) + ", one run at a time",
-            "script": "scripts/bench_pair.py "
-                      + " ".join(argv if argv is not None else sys.argv[1:]),
+            "script": script_line(args),
             "quartiles": "statistics.quantiles(n=4), as perfbench/steady.py",
         },
         "provenance": provenance(revisions),

@@ -122,11 +122,11 @@ def label_params(label: BianchiLabel, p0) -> OperadicParams:
     return solve_C(_row_tensor(label), p0)
 
 
-def dynamical_deformation(label: BianchiLabel, params: HOParams,
+def dynamical_deformation(C: OperadicParams, params: HOParams,
                           t) -> StructureConstants:
     """Deformed structure tensor at time t, generated via the operadic
-    family (a stack of them for a stack of times)."""
-    C = label_params(label, params.p0)
+    family from C, such as label_params(label, params.p0) of a Bianchi row
+    (a stack of them for a stack of times)."""
     mu = build_mu(C, params, phase_points(params, t))
     return StructureConstants(mu.reshape(np.shape(t) + (3, 3, 3)))
 

@@ -335,9 +335,9 @@ def corollary_HE(btype: BianchiType) -> list[NCPoly]:
 class DerivativeAlgebraReport(namedtuple(
         "DerivativeAlgebraReport",
         "C beta_sq bracket_13_zero bracket_23_zero bracket_12_matches "
-        "basis_brackets_ok rescaled_mu23_1")):
+        "basis_brackets_ok")):
     """Commutator structure of the reduced Jacobiator components: C and
-    beta_sq are CoeffPolys or None, rescaled_mu23_1 a Fraction."""
+    beta_sq are CoeffPolys or None."""
 
     __slots__ = ()
 
@@ -345,8 +345,7 @@ class DerivativeAlgebraReport(namedtuple(
     def heisenberg_ok(self) -> bool:
         """The rescaled basis reproduces the Heisenberg (type II) table."""
         return (self.bracket_13_zero and self.bracket_23_zero
-                and self.bracket_12_matches and self.basis_brackets_ok
-                and self.rescaled_mu23_1 == 1)
+                and self.bracket_12_matches and self.basis_brackets_ok)
 
     def rendered(self, field: str) -> str:
         """C or beta_sq as text; "undefined" where there is no C."""
@@ -366,10 +365,12 @@ def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
     C = lambda^2 omega^2 Delta / (32 p0^4); the basis e1 = -Delta J3,
     e2 = -Delta J1, e3 = -Delta J2 then satisfies [e2, e3] = beta^2 e1 with
     beta^2 = -C Delta, i.e. the Heisenberg table up to the beta scaling
-    (removed by dividing e2, e3 by beta).  components are corollary_HE of
-    the type, as the caller already computed them.  C and beta^2 are None,
-    and every bracket check fails, when [J1, J2] or J3 is not a scalar or
-    J3 is not an invertible (nonzero monomial) one.
+    (removed by dividing e2, e3 by beta).  With beta^2 = 0 the basis spans
+    the abelian algebra, not the Heisenberg one, and the basis check fails.
+    components are corollary_HE of the type, as the caller already computed
+    them.  C and beta^2 are None, and every bracket check fails, when
+    [J1, J2] or J3 is not a scalar or J3 is not an invertible (nonzero
+    monomial) one.
     """
     j1, j2, j3 = components
     br12 = _reduce_he(commutator(j1, j2))
@@ -380,7 +381,7 @@ def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
         return DerivativeAlgebraReport(
             C=None, beta_sq=None, bracket_13_zero=br13.is_zero,
             bracket_23_zero=br23.is_zero, bracket_12_matches=False,
-            basis_brackets_ok=False, rescaled_mu23_1=Fraction(0))
+            basis_brackets_ok=False)
     C = br12.scalar_part() / j3.scalar_part()
     beta_sq = -(C * _sym("Delta"))
     minus_delta = -_sym("Delta")
@@ -390,22 +391,14 @@ def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
     br_e23 = _reduce_he(commutator(e2, e3))
     br_e12 = _reduce_he(commutator(e1, e2))
     br_e13 = _reduce_he(commutator(e1, e3))
-    basis_ok = (br_e23 == e1 * beta_sq) and br_e12.is_zero \
-        and br_e13.is_zero
-    if basis_ok:
-        # [e2/beta, e3/beta] = e1 * (this ratio): explicit isomorphism check
-        ratio = (br_e23.scalar_part()
-                 / (beta_sq * e1.scalar_part())).constant_value()
-    else:
-        ratio = Fraction(0)
     return DerivativeAlgebraReport(
         C=C,
         beta_sq=beta_sq,
         bracket_13_zero=br13.is_zero,
         bracket_23_zero=br23.is_zero,
         bracket_12_matches=(br12 == j3 * C),
-        basis_brackets_ok=basis_ok,
-        rescaled_mu23_1=ratio,
+        basis_brackets_ok=(not beta_sq.is_zero and br_e23 == e1 * beta_sq
+                           and br_e12.is_zero and br_e13.is_zero),
     )
 
 

@@ -11,13 +11,15 @@ triples; the lax and bianchi cases on a time grid take T_SAMPLES times.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from . import qjacobi as qj
 from ._lazy import LazyNumpy
 from .bianchi import (DEFORMABLE, BianchiLabel, BianchiType,
                       classical_jacobiator, deformation_closed_form,
-                      dynamical_deformation, structure_constants)
+                      dynamical_deformation, label_params,
+                      structure_constants)
 from .lax import (OperadicParams, _exact_sqrt, build_mu, phase_points,
                   solve_C, verify_matrix_lax, verify_operadic_lax)
 from .ncalg import CoeffPoly, NCPoly
@@ -33,11 +35,9 @@ np = LazyNumpy(globals())
 OPERAD_SAMPLES = 1000
 T_SAMPLES = 100
 
-# Samples wait in one queue per (dim, degrees).  A queue is composed as one
-# stack before its Jacobi terms would pass BATCH_BYTES, so the largest
-# tensors go one sample at a time and no stacked array reaches the malloc
-# mmap threshold (128 KiB); while all queued coefficients pass twice that,
-# the fullest queue goes.
+# The operad suite composes the samples of one dim and degrees in stacks whose
+# Jacobi terms stay within BATCH_BYTES (the largest tensors go one sample at
+# a time), so no stacked array reaches the malloc mmap threshold (128 KiB).
 BATCH_BYTES = 64 * 1024
 
 # The lax and bianchi float checks run on stacks of at most CHUNK samples.  A
@@ -68,60 +68,46 @@ def _add_worst(rep: SuiteReport, case_id: str, tol: float, *residuals):
     rep.add(case_id, worst <= tol, residual=worst, tol=tol)
 
 
-def _random_coeffs(rng: np.random.Generator, dim: int,
-                   max_degree: int = 3) -> np.ndarray:
-    degree = int(rng.integers(1, max_degree + 1))
+def _random_coeffs(rng: np.random.Generator, dim: int) -> np.ndarray:
+    degree = int(rng.integers(1, 4))
     return rng.uniform(-1.0, 1.0, size=(dim,) * (degree + 1))
 
 
 def operad_suite(seed: int = 42) -> SuiteReport:
     """Graded antisymmetry and graded Jacobi on random operations.
 
-    Samples are drawn one at a time, queued by dim and degrees and composed
-    a stack at a time (BATCH_BYTES); the residuals are per-sample maxima.
+    All samples are drawn first and grouped by dim and degrees; each group
+    is composed in stacks of at most BATCH_BYTES of Jacobi terms, and the
+    residuals are per-sample maxima.
     """
     rng = np.random.default_rng(seed)
     rep = SuiteReport("operad", seed=seed)
 
-    worst_deg = True
-    antis, jacobis = [], []
-    # (shape of f, g, h) -> the queued coefficients of f, g and h, flat
-    queues = {}
-    queued_bytes = 0
-
-    def backlog(key):
-        return sum(map(len, queues[key]))
-
-    def flush(key):
-        nonlocal worst_deg, queued_bytes
-        queued_bytes -= backlog(key)
-        deg_ok, anti, jacobi = graded_lie_residuals(
-            *[np.frombuffer(q).reshape((-1,) + shape)
-              for q, shape in zip(queues.pop(key), key)])
-        worst_deg &= deg_ok
-        antis.append(anti)
-        jacobis.append(jacobi)
-
+    # (shape of f, g, h) -> the coefficients of f, g and h, flat
+    groups = defaultdict(lambda: (bytearray(), bytearray(), bytearray()))
     for _ in range(OPERAD_SAMPLES):
         dim = int(rng.integers(1, 4))
         sample = [_random_coeffs(rng, dim) for _ in range(3)]
         # tuple(generator) resizes the tuple it builds, and CPython keeps
         # such 3-tuples on its free list; a list builds it at its size
         key = tuple([c.shape for c in sample])
-        queue = queues.get(key)
-        if queue is None:
-            queue = queues[key] = (bytearray(), bytearray(), bytearray())
-        for q, c in zip(queue, sample):
-            q += c.tobytes()
-        queued_bytes += sum(c.nbytes for c in sample)
+        for flat, c in zip(groups[key], sample):
+            flat += c.tobytes()
+
+    worst_deg = True
+    antis, jacobis = [], []
+    for key, group in groups.items():
+        stacks = [np.frombuffer(flat).reshape((-1,) + shape)
+                  for flat, shape in zip(group, key)]
         # a Jacobi term of degree deg f + deg g + deg h - 2
-        term_bytes = 8 * dim ** (sum(c.ndim for c in sample) - 4)
-        if (len(queue[0]) // sample[0].nbytes + 1) * term_bytes > BATCH_BYTES:
-            flush(key)
-        while queued_bytes > 2 * BATCH_BYTES:
-            flush(max(queues, key=backlog))
-    for key in list(queues):
-        flush(key)
+        term_bytes = 8 * key[0][0] ** (sum(map(len, key)) - 4)
+        n = max(1, BATCH_BYTES // term_bytes)
+        for i in range(0, len(stacks[0]), n):
+            deg_ok, anti, jacobi = graded_lie_residuals(
+                *(stack[i:i + n] for stack in stacks))
+            worst_deg &= deg_ok
+            antis.append(anti)
+            jacobis.append(jacobi)
 
     rep.add("degree_bookkeeping", worst_deg and OPERAD_SAMPLES > 0,
             detail=f"samples={OPERAD_SAMPLES}")
@@ -244,10 +230,11 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
     rng = np.random.default_rng(seed)
     rep = SuiteReport("bianchi", seed=seed)
     params = HOParams(omega=1.3, p0=0.9)
+    rows = {label: label_params(label, params.p0) for label in _DEFORM_LABELS}
 
     def closed_form_gap(label):
         return lambda t: np.abs(
-            dynamical_deformation(label, params, t).array
+            dynamical_deformation(rows[label], params, t).array
             - deformation_closed_form(label, params, t).array
         ).max(axis=(1, 2, 3))
 
@@ -285,26 +272,26 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
     triples = rng.integers(-5, 6, size=(len(_DEFORM_LABELS), len(times), 3,
                                         3)).astype(float)
     residuals = []
-    for label, (x, y, z) in zip(_DEFORM_LABELS, np.moveaxis(triples, 2, 1)):
+    for C, (x, y, z) in zip(rows.values(), np.moveaxis(triples, 2, 1)):
         scale = np.maximum(np.linalg.norm(x, axis=1)
                            * np.linalg.norm(y, axis=1)
                            * np.linalg.norm(z, axis=1), 1.0)
-        J = classical_jacobiator(dynamical_deformation(label, params, times),
+        J = classical_jacobiator(dynamical_deformation(C, params, times),
                                  x, y, z)
         residuals.append(np.abs(J).max(axis=1) / scale)
     _add_worst(rep, "classical_jacobi_on_shell", 1e-10, *residuals)
 
     # antisymmetry of every generated tensor
     ok = True
-    for label in _DEFORM_LABELS:
-        arr = dynamical_deformation(label, params,
+    for C in rows.values():
+        arr = dynamical_deformation(C, params,
                                     rng.uniform(0.0, 12.0, size=10)).array
         ok &= bool(np.all(arr == -np.swapaxes(arr, -1, -2)))
     rep.add("antisymmetry", ok)
 
     # alternation and multilinearity of the Jacobiator
-    sc = dynamical_deformation(BianchiLabel(BianchiType.VIIA, 2.0), params,
-                               0.7)
+    sc = dynamical_deformation(rows[BianchiLabel(BianchiType.VIIA, 2.0)],
+                               params, 0.7)
     x = rng.uniform(-1, 1, 3)
     y = rng.uniform(-1, 1, 3)
     z = rng.uniform(-1, 1, 3)

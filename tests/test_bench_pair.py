@@ -1,5 +1,6 @@
 """The summariser of scripts/bench_pair.py on fixed numbers."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -94,3 +95,17 @@ def test_summarise_workload():
     assert metric["unit"] == "s"
     assert metric["pairs_won"] == 3
     assert metric["parent"]["runs"] == [1.0, 1.2, 1.1]
+
+
+def test_script_line_names_out_by_its_file_name():
+    args = argparse.Namespace(
+        parent="952d390", first_seed=161, claim="verify_all:cold_s",
+        note=["no gain claimed"], out=Path("/tmp/bench/BENCH_16.json"))
+    assert bench_pair.script_line(args) == (
+        "scripts/bench_pair.py --parent 952d390 --first-seed 161 "
+        "--claim verify_all:cold_s --note 'no gain claimed' "
+        "--out BENCH_16.json")
+    args.claim, args.note = None, []
+    assert bench_pair.script_line(args) == (
+        "scripts/bench_pair.py --parent 952d390 --first-seed 161 "
+        "--out BENCH_16.json")

@@ -107,7 +107,8 @@ class TestDeformations:
     def test_initial_value(self, label):
         params = HOParams(omega=1.3, p0=0.9)
         sc0 = structure_constants(label).array.astype(float)
-        gen = dynamical_deformation(label, params, 0.0).array
+        C = label_params(label, params.p0)
+        gen = dynamical_deformation(C, params, 0.0).array
         closed = deformation_closed_form(label, params, 0.0).array
         assert np.allclose(gen, sc0, atol=1e-12)
         assert np.allclose(closed, sc0, atol=1e-12)
@@ -116,8 +117,9 @@ class TestDeformations:
     def test_generated_matches_closed_form(self, label):
         for w, p0 in ((1.3, 0.9), (0.5, 2.0)):
             params = HOParams(omega=w, p0=p0)
+            C = label_params(label, p0)
             for t in np.linspace(0.0, 4 * math.pi / w, 50):
-                gen = dynamical_deformation(label, params, float(t)).array
+                gen = dynamical_deformation(C, params, float(t)).array
                 closed = deformation_closed_form(label, params,
                                                  float(t)).array
                 assert np.max(np.abs(gen - closed)) <= 1e-12
@@ -126,9 +128,10 @@ class TestDeformations:
     def test_periodicity(self, label):
         params = HOParams(omega=1.3, p0=0.9)
         period = 4 * math.pi / params.omega  # Q, P have half the q,p frequency
+        C = label_params(label, params.p0)
         for t in (0.0, 0.7, 2.1):
-            d0 = dynamical_deformation(label, params, t).array
-            d1 = dynamical_deformation(label, params, t + period).array
+            d0 = dynamical_deformation(C, params, t).array
+            d1 = dynamical_deformation(C, params, t + period).array
             assert np.allclose(d0, d1, atol=1e-9)
 
     @pytest.mark.parametrize("p0", [Fraction(1, 2), Fraction(2),
@@ -161,8 +164,9 @@ class TestClassicalJacobiator:
     def test_jacobi_preserved_along_flow(self, label):
         rng = np.random.default_rng(22)
         params = HOParams(omega=1.3, p0=0.9)
+        C = label_params(label, params.p0)
         for t in np.linspace(0.0, 9.0, 12):
-            sc = dynamical_deformation(label, params, float(t))
+            sc = dynamical_deformation(C, params, float(t))
             for _ in range(5):
                 x, y, z = rng.uniform(-2, 2, size=(3, 3))
                 norms = (np.linalg.norm(x) * np.linalg.norm(y)
@@ -215,10 +219,10 @@ class TestStacked:
         C = label_params(label, params.p0)
         t = rng.uniform(0.0, 12.0, size=batch)
         stacked = _chunked(
-            lambda t: dynamical_deformation(label, params, t).array, t)
+            lambda t: dynamical_deformation(C, params, t).array, t)
         assert stacked.shape == (batch, 3, 3, 3)
         for ti, arr in zip(t, stacked):
-            alone = dynamical_deformation(label, params, float(ti)).array
+            alone = dynamical_deformation(C, params, float(ti)).array
             assert alone.shape == (3, 3, 3)
             assert np.array_equal(arr, alone), ti
             reference = build_mu(C, params, trajectory(params, float(ti)))
@@ -228,18 +232,18 @@ class TestStacked:
     @pytest.mark.parametrize("batch", BATCHES)
     def test_classical_jacobiator(self, batch):
         rng = np.random.default_rng(batch)
-        label = DEFORMABLE[0]
         params = HOParams(omega=1.3, p0=0.9)
+        C = label_params(DEFORMABLE[0], params.p0)
         t = rng.uniform(0.0, 12.0, size=batch)
         x, y, z = rng.uniform(-5.0, 5.0, size=(3, batch, 3))
 
         def jacobiator(t, x, y, z):
             return classical_jacobiator(
-                dynamical_deformation(label, params, t), x, y, z)
+                dynamical_deformation(C, params, t), x, y, z)
 
         stacked = _chunked(jacobiator, t, x, y, z)
         for b in range(batch):
-            m = dynamical_deformation(label, params, float(t[b])).array
+            m = dynamical_deformation(C, params, float(t[b])).array
             alone = classical_jacobiator(StructureConstants(m), x[b], y[b],
                                          z[b])
             # the contraction of one sample, without batch axes

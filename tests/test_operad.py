@@ -280,16 +280,34 @@ class TestBatchedSuite:
     def test_suite_equals_per_sample_loop(self, monkeypatch, seed,
                                           batch_bytes):
         """Any stacking budget (one sample per stack, the default, one
-        stack per dim and degrees) gives the per-sample residuals."""
+        stack per dim and degrees) gives the per-sample residuals; each
+        stack holds one dim and degrees and keeps its Jacobi terms within
+        BATCH_BYTES unless it is one sample, and the stacks hold every
+        sample once."""
         if batch_bytes is not None:
             monkeypatch.setattr(suites, "BATCH_BYTES", batch_bytes)
         monkeypatch.setattr(suites, "OPERAD_SAMPLES", 300)
+        stacks = []
+
+        def recorded(F, G, H):
+            stacks.append((F.shape, G.shape, H.shape))
+            return graded_lie_residuals(F, G, H)
+
+        monkeypatch.setattr(suites, "graded_lie_residuals", recorded)
         cases = {c.case_id: c for c in suites.operad_suite(seed).cases}
         deg, anti, jacobi = reference_operad_residuals(seed, 300)
         assert cases["degree_bookkeeping"].passed is deg is True
         assert cases["graded_antisymmetry"].residual == anti
         assert cases["graded_jacobi_relative"].residual == jacobi
         assert jacobi > 0.0
+
+        for shapes in stacks:
+            (n, d), = {(shape[0], shape[1]) for shape in shapes}
+            assert all(set(shape[1:]) == {d} for shape in shapes)
+            # a Jacobi term has degree deg f + deg g + deg h - 2
+            degree = sum(len(shape) - 2 for shape in shapes) - 2
+            assert n == 1 or n * 8 * d ** (degree + 1) <= suites.BATCH_BYTES
+        assert sum(shapes[0][0] for shapes in stacks) == 300
 
     def test_suite_without_samples_fails(self, monkeypatch):
         """No sample checks nothing: every case of the suite fails."""

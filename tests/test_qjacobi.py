@@ -269,8 +269,16 @@ class TestDerivativeAlgebra:
         assert da.bracket_13_zero and da.bracket_23_zero
         assert da.bracket_12_matches
         assert da.basis_brackets_ok
-        assert da.rescaled_mu23_1 == 1
         assert da.heisenberg_ok
+
+    def test_commuting_input_is_not_heisenberg(self):
+        """[J1, J1] = 0 gives beta^2 = 0, the abelian algebra: reported as
+        no Heisenberg identification, not raised as a division by zero."""
+        j1, _, j3 = qj.corollary_HE(BianchiType.VIIA)
+        da = qj.derivative_algebra([j1, j1, j3])
+        assert da.beta_sq.is_zero
+        assert not da.basis_brackets_ok
+        assert not da.heisenberg_ok
 
     def test_commutators_directly(self):
         j1, j2, j3 = qj.corollary_HE(BianchiType.VIIA)

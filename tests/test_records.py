@@ -3,7 +3,6 @@ keyword constructors, reprs and validation they have always had, immutable,
 and validated again by _replace."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,8 +29,7 @@ RECORDS = (
                                "bracket_13_zero": True,
                                "bracket_23_zero": True,
                                "bracket_12_matches": False,
-                               "basis_brackets_ok": False,
-                               "rescaled_mu23_1": Fraction(0)}),
+                               "basis_brackets_ok": False}),
     (CaseResult, {"case_id": "c", "passed": True, "residual": 0.5,
                   "tol": 1.0, "detail": "d"}),
 )
