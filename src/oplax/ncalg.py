@@ -9,7 +9,10 @@ Scalars are Laurent monomial sums over the fixed central symbol set
     r       -- the single radical sqrt(2 p0), reduced by r^2 -> 2 p0
     x1..x3, y1..y3, z1..z3         -- coordinate symbols
 
-with exact-rational coefficients (Fraction).  Noncommuting letters live in
+with exact-rational coefficients: each stored coefficient is an int when it
+is integral and a Fraction otherwise, so products of integral coefficients
+run on Python ints.  int and Fraction compare and hash alike, so equality,
+hashing and rendering do not see the difference.  Noncommuting letters live in
 words; a CommutationTable fixes the letter order and rewrites g f ->
 f g + c for ordered pairs, each swap strictly reducing inversions, so
 normal ordering terminates.  The quasi-CCR table implements
@@ -33,23 +36,36 @@ _NSYM = len(SYMBOLS)
 _ZERO_EXPS = (0,) * _NSYM
 
 
+def _exact(value) -> int | Fraction:
+    """A rational number as an int when it is integral, else a Fraction."""
+    if type(value) is not int:
+        value = Fraction(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
+
+
 def _accumulate(out: dict, key, value):
     """out[key] += value without seeding the sum with a zero: a new key
     takes value as it is (callers never pass a zero), and a sum that
-    cancels removes the key."""
+    cancels removes the key.  An integral Fraction sum is stored as an
+    int."""
     acc = out.get(key)
     if acc is None:
         out[key] = value
         return
     acc = acc + value
-    if acc:
-        out[key] = acc
-    else:
+    if not acc:
         del out[key]
+    elif type(acc) is Fraction and acc.denominator == 1:
+        out[key] = acc.numerator
+    else:
+        out[key] = acc
 
 
-def _canon_term(exps: list, coeff: Fraction):
-    """Reduce the r-exponent into {0, 1} using r^2 = 2 p0."""
+def _canon_term(exps: list, coeff: int | Fraction) -> tuple:
+    """Reduce the r-exponent into {0, 1} using r^2 = 2 p0.  Halving is
+    exact: an even int is shifted, anything else becomes a Fraction."""
     k = exps[_R]
     while k >= 2:
         k -= 2
@@ -57,9 +73,12 @@ def _canon_term(exps: list, coeff: Fraction):
         exps[_P0] += 1
     while k < 0:
         k += 2
-        coeff /= 2
+        coeff = coeff >> 1 if type(coeff) is int and not coeff & 1 \
+            else Fraction(coeff, 2)
         exps[_P0] -= 1
     exps[_R] = k
+    if type(coeff) is Fraction and coeff.denominator == 1:
+        coeff = coeff.numerator
     return tuple(exps), coeff
 
 
@@ -74,7 +93,7 @@ class CoeffPoly:
             return
         canon: dict = {}
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
             key, c = _canon_term(list(exps), coeff)
@@ -89,7 +108,7 @@ class CoeffPoly:
 
     @classmethod
     def number(cls, value) -> "CoeffPoly":
-        value = Fraction(value)
+        value = _exact(value)
         if value == 0:
             return cls.zero()
         return cls({_ZERO_EXPS: value}, _canonical=True)
@@ -109,7 +128,7 @@ class CoeffPoly:
             if name not in _SYM_INDEX:
                 raise KeyError(f"unknown symbol {name!r}")
             exps[_SYM_INDEX[name]] += e
-        return cls({tuple(exps): Fraction(coeff)})
+        return cls({tuple(exps): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -121,10 +140,11 @@ class CoeffPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
-        """The value of a purely numeric polynomial."""
+    def constant_value(self) -> int | Fraction:
+        """The value of a purely numeric polynomial: an int when it is
+        integral, else a Fraction."""
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if self.terms.keys() == {_ZERO_EXPS}:
             return self.terms[_ZERO_EXPS]
         raise ValueError(f"not a constant: {self.render()}")
@@ -174,6 +194,8 @@ class CoeffPoly:
             for e2, c2 in t2.items():
                 exps = tuple(map(_add, e1, e2))
                 c = c1 * c2
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
                 if exps[_R] not in (0, 1):
                     exps, c = _canon_term(list(exps), c)
                 _accumulate(out, exps, c)
@@ -227,8 +249,10 @@ class CoeffPoly:
 
         A number folds into each term's coefficient: a term with a positive
         power of a symbol sent to 0 drops out, and a negative power of one
-        raises ZeroDivisionError.  A symbol carrying a negative exponent
-        may only be replaced by an invertible monomial.
+        raises ZeroDivisionError.  Numbers are raised to their powers as
+        Fractions (an int to a negative power would give a float), and each
+        power is kept as an int when it is integral.  A symbol carrying a
+        negative exponent may only be replaced by an invertible monomial.
         """
         values = {}
         for name, val in mapping.items():
@@ -244,12 +268,13 @@ class CoeffPoly:
                 if e == 0:
                     continue
                 kept[idx] = 0
-                if not isinstance(val, CoeffPoly):
-                    coeff *= val ** e
-                    continue
                 power = powers.get((idx, e))
                 if power is None:
-                    power = powers[idx, e] = val ** e
+                    power = powers[idx, e] = val ** e \
+                        if isinstance(val, CoeffPoly) else _exact(val ** e)
+                if not isinstance(power, CoeffPoly):
+                    coeff *= power
+                    continue
                 factor = power if factor is None else factor * power
             if not coeff:
                 continue
@@ -259,6 +284,8 @@ class CoeffPoly:
                            else factor.terms.items()):
                 key = tuple(map(_add, e1, kept))
                 c1 = c1 * coeff
+                if type(c1) is Fraction and c1.denominator == 1:
+                    c1 = c1.numerator
                 if key[_R] not in (0, 1):
                     key, c1 = _canon_term(list(key), c1)
                 _accumulate(out, key, c1)

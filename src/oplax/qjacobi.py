@@ -19,7 +19,8 @@ The Jacobiator is evaluated on vectors with central (scalar) components
 only, as the contraction of the Jacobiator tensor with the coordinates:
 J^i = sum_abc x^a y^b z^c (T^i_abc + T^i_bca + T^i_cab) with
 T^i_abc = sum_k mu^i_ak mu^k_bc in the left convention and
-sum_k mu^k_bc mu^i_ak in the right one (see q_jacobiator).
+sum_k mu^k_bc mu^i_ak in the right one (see q_jacobiator, which returns
+32 p0 J, the scale at which every coefficient is an integer).
 
 Scalars sqrt(2H) and omega/(2 sqrt(2H)) are the central symbols h and eps;
 sqrt(2 p0) is the radical r with r^2 = 2 p0.
@@ -108,8 +109,8 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
 
 def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
                  conv: str = "left") -> tuple:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] with the quantum bracket, for
-    3-tuples with central (scalar) components.
+    """32 p0 times [x,[y,z]] + [y,[z,x]] + [z,[x,y]] with the quantum
+    bracket, for 3-tuples with central (scalar) components.
 
     Central coordinates factor out of every product, so the Jacobiator is
     the contraction of the Jacobiator tensor with them:
@@ -123,6 +124,11 @@ def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
     out again.  Whether mu is antisymmetric is checked exactly on each
     call; a mu that is not gets every T^i_abc multiplied out.
 
+    The contraction runs on 4r mu, whose coefficients are all integers (r
+    absorbs the a/r entries); r^2 = 2 p0 never halves a coefficient, so its
+    products run on Python ints.  It gives 32 p0 J, since (4r)^2 = 32 p0;
+    the caller divides by 32 p0 where it needs J itself.
+
     A component that is not a scalar raises ValueError.
     """
     if conv not in ("left", "right"):
@@ -133,6 +139,8 @@ def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
     # that is not would pass each jacobi_delta_divisible_* case by construction
     skew = all(qsc[k][c][b] == -qsc[k][b][c]
                for k, b, c in product(range(3), repeat=3))
+    four_r = CoeffPoly.monomial(4, {"r": 1})
+    mu = [[[m * four_r for m in row] for row in plane] for plane in qsc]
     T = {}
     for i, a, b, c in product(range(3), repeat=4):
         if skew and b > c:
@@ -140,7 +148,7 @@ def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
             continue
         acc = zero
         for k in range(3):
-            outer, inner = qsc[i][a][k], qsc[k][b][c]
+            outer, inner = mu[i][a][k], mu[k][b][c]
             if outer.is_zero or inner.is_zero:
                 continue
             acc = acc + (outer * inner if conv == "left" else inner * outer)
@@ -250,18 +258,26 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
     exact polynomial identity, with claimed_jacobi at the coordinate
     determinant D.  Also checks that every computed component is divisible
     by D with a coordinate-free quotient.
+
+    Both sides are compared at 32 p0 times their value (q_jacobiator's
+    scale), where every coefficient is an integer; a nonzero residual is
+    divided by 32 p0 for the report.  Divisibility by D does not depend on
+    the scale.
     """
     table = table_for(alphabet)
     qsc = q_structure(btype, table)
     x, y, z = symbolic_coordinates(table)
     J = q_jacobiator(x, y, z, qsc, conv)
     D = det_poly()
-    expected = claimed_jacobi(btype, xi_polys(table), D)
+    scale = CoeffPoly.monomial(32, {"p0": 1})
+    # the closed form is linear in the determinant, so this is 32 p0 times it
+    expected = claimed_jacobi(btype, xi_polys(table), D * scale)
     exact, residuals, divisible = [], [], []
     for comp, exp in zip(J, expected):
         res = comp - exp
         exact.append(res.is_zero)
-        residuals.append(res)
+        residuals.append(res if res.is_zero else res * CoeffPoly.monomial(
+            Fraction(1, 32), {"p0": -1}))
         quotient = comp.substitute_symbols(_UNIT_COORDS)
         divisible.append(comp == quotient * D)
     return TheoremReport(exact=tuple(exact), residuals=tuple(residuals),

@@ -188,6 +188,7 @@ class TestCoeffPoly:
             return
         got = poly.substitute(mapping)
         assert list(got.terms.items()) == list(want.terms.items())
+        assert_canonical(got)
 
     @pytest.mark.parametrize("mapping", (
         {"eps": 0},
@@ -207,6 +208,37 @@ class TestCoeffPoly:
     def test_substitute_zero_for_negative_power(self, mapping):
         with pytest.raises(ZeroDivisionError):
             MIXED.substitute(mapping)
+
+    def test_integral_coefficients_stay_int(self):
+        """Where int arithmetic would give a float, the coefficient stays
+        exact: an int when it is integral, else a Fraction."""
+        cases = (
+            # _canon_term halves an odd int (3/r^2 = 3/(2 p0)) and shifts
+            # an even one
+            (CoeffPoly.monomial(3, {"r": -2}),
+             {"p0": -1}, Fraction(3, 2)),
+            (CoeffPoly.monomial(3 ** 40, {"r": -2}),
+             {"p0": -1}, Fraction(3 ** 40, 2)),
+            (CoeffPoly.monomial(4, {"r": -2, "a": 1}),
+             {"p0": -1, "a": 1}, 2),
+            # an int to a negative power (1 ** -1) would be the float 1.0
+            (CoeffPoly.monomial(3, {"eps": -1, "a": 1}).substitute(
+                {"eps": 1}), {"a": 1}, 3),
+            (CoeffPoly.monomial(2, {"eps": -1}).substitute({"eps": 3}),
+             {}, Fraction(2, 3)),
+            # 1 / int is a float
+            (CoeffPoly.monomial(2, {"a": 1})._inverse(),
+             {"a": -1}, Fraction(1, 2)),
+            (CoeffPoly.monomial(4, {"a": 1}) / 2, {"a": 1}, 2),
+            (CoeffPoly.monomial(4, {"a": 1}) / CoeffPoly.number(8),
+             {"a": 1}, Fraction(1, 2)),
+            (CoeffPoly.monomial(Fraction(1, 2), {"a": 1}) * 2, {"a": 1}, 1),
+        )
+        for poly, powers, coeff in cases:
+            (got,) = poly.terms.values()
+            assert poly == CoeffPoly.monomial(coeff, powers)
+            assert type(got) is type(coeff) and got == coeff, poly
+            assert_canonical(poly)
 
     @given(coeff_polys())
     @settings(max_examples=60, deadline=None)
@@ -255,9 +287,13 @@ def dense_add(a, b):
 
 
 def assert_canonical(poly):
+    """Reduced r-exponents, no zero, and each coefficient an int or a
+    Fraction that is not integral (never a float)."""
     for exps, coeff in poly.terms.items():
         assert coeff != 0
         assert exps[R] in (0, 1)
+        assert type(coeff) is int \
+            or (type(coeff) is Fraction and coeff.denominator > 1), coeff
 
 
 class TestKernelAgainstDenseReference:

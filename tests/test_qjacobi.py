@@ -134,16 +134,35 @@ def nested_jacobiator(x, y, z, qsc, conv):
 
 
 class TestJacobiatorContraction:
-    """The tensor contraction equals the nested brackets it replaces."""
+    """The tensor contraction equals the nested brackets it replaces, at
+    its scale 32 p0."""
 
     @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
     def test_matches_nested_brackets(self, btype, conv, alphabet):
         table = qj.table_for(alphabet)
         qsc = qj.q_structure(btype, table)
         x, y, z = qj.symbolic_coordinates(table)
+        scale = CoeffPoly.monomial(32, {"p0": 1})
         for args in ((x, y, z), (x, y, y), (x, x, x)):
             contracted = qj.q_jacobiator(*args, qsc, conv)
-            assert contracted == nested_jacobiator(*args, qsc, conv)
+            assert contracted == tuple(
+                c * scale for c in nested_jacobiator(*args, qsc, conv))
+
+    @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
+    def test_scaled_contraction_is_integral(self, btype, conv, alphabet):
+        """4r mu and 32 p0 J have only int coefficients, so the contraction
+        runs on Python ints; a coefficient such as 1/3 in q_structure
+        would fail here rather than fall back to Fractions unseen."""
+        table = qj.table_for(alphabet)
+        qsc = qj.q_structure(btype, table)
+        x, y, z = qj.symbolic_coordinates(table)
+        four_r = CoeffPoly.monomial(4, {"r": 1})
+        scaled_mu = [m * four_r for plane in qsc for row in plane for m in row]
+        scaled_J = qj.q_jacobiator(x, y, z, qsc, conv)
+        coeffs = [c for value in scaled_mu + list(scaled_J)
+                  for poly in value.terms.values()
+                  for c in poly.terms.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
 
     def test_operator_component_rejected(self):
         table = qj.PQ_TABLE

@@ -147,3 +147,57 @@ def test_derivative_algebra_constants(btype):
     da = qj.derivative_algebra(qj.corollary_HE(btype))
     assert_same(scalar_of(da.C), C)
     assert_same(scalar_of(da.beta_sq), beta_sq)
+
+
+def oracle_structure(btype):
+    """mu^i_jk from P and Q, with p = (P^2 - Q^2)/2 and omega*q =
+    (PQ + QP)/2: the nine entries of the paper's table, by (i, j, k), and
+    their negatives at the transposed lower indices."""
+    a = 1 if btype is BianchiType.IIIA1 else A
+    n3 = 1 if btype is BianchiType.VIIA else -1
+    r = SYM["r"]
+    entries = {
+        (0, 0, 1): a * Q / r, (1, 0, 1): -a * P / r, (2, 0, 1): n3,
+        (0, 1, 2): (P0 - P_OP) / (2 * P0), (1, 1, 2): -OMEGA_Q_OP / (2 * P0),
+        (2, 1, 2): -a * Q / r,
+        (0, 2, 0): -OMEGA_Q_OP / (2 * P0), (1, 2, 0): (P_OP + P0) / (2 * P0),
+        (2, 2, 0): a * P / r,
+    }
+    mu = {}
+    for (i, j, k), value in entries.items():
+        mu[i, j, k], mu[i, k, j] = value, -value
+    return lambda i, j, k: mu.get((i, j, k), 0)
+
+
+def oracle_jacobiator(btype, conv):
+    """J(e1, e2, e3) = [e1, [e2, e3]] + [e2, [e3, e1]] + [e3, [e1, e2]]:
+    [e_a, [e_b, e_c]]^i = sum_k mu^i_ak mu^k_bc with mu on the left of the
+    operator component, or mu^k_bc mu^i_ak with mu on its right."""
+    mu = oracle_structure(btype)
+    out = []
+    for i in range(3):
+        total = 0
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            for k in range(3):
+                outer, inner = mu(i, a, k), mu(k, b, c)
+                total += outer * inner if conv == "left" else inner * outer
+        out.append(normal_order(total))
+    return out
+
+
+@pytest.mark.parametrize("btype", LABELS)
+def test_quantum_theorem_both_conventions(btype):
+    """The left convention gives the closed form at D = 1 exactly, and
+    oplax certifies it; the right convention leaves oplax's residual at
+    unit coordinates."""
+    closed = [c.subs(DELTA, 1) for c in oracle_jacobi(btype)[0]]
+    left = oracle_jacobiator(btype, "left")
+    for got, expected in zip(left, closed):
+        assert_same(got, expected)
+    assert qj.verify_theorem_q(btype, "left", "PQ").all_exact
+    right = oracle_jacobiator(btype, "right")
+    rep = qj.verify_theorem_q(btype, "right", "PQ")
+    assert not rep.all_exact
+    for got, expected, residual in zip(right, closed, rep.residuals):
+        at_unit = residual.substitute_symbols(qj._UNIT_COORDS)
+        assert_same(operator_of(at_unit), got - expected)
