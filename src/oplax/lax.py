@@ -11,8 +11,10 @@ through nine real parameters C1..C9; it satisfies dmu/dt = [M, mu] with the
 Gerstenhaber bracket.  solve_C inverts the t = 0 values of mu for the
 parameters, so any antisymmetric initial tensor round-trips exactly.
 
-mu_slots states the nine components once; build_mu (the full tensor) and
-the CLI's deform table both read them from there.  mu_slots, antisymmetric,
+mu_slots states the nine components once; build_mu (the full tensor),
+mu_time_derivative (mu is affine in the phase point, so its derivative along
+the flow is mu_slots at the velocity minus mu_slots at the origin) and the
+CLI's deform table read them from there.  mu_slots, antisymmetric,
 build_mu, solve_C and mu_time_derivative use plain Python arithmetic and
 work with floats or exact Fractions alike, without loading numpy; the numpy
 layer only enters in the verification routines: build_M, build_L,
@@ -84,7 +86,8 @@ def phase_points(params: HOParams, times) -> PhasePoint:
     return PhasePoint(*rows.reshape(-1, 5).T, H=params.energy)
 
 
-# the time step of the central differences in the verify_* routines
+# the time step of the central differences in the verify_* routines and of
+# the lax suite's velocity check
 FD_STEP = 1e-5
 
 
@@ -212,21 +215,14 @@ def solve_C(initial_mu, p0) -> OperadicParams:
 
 def mu_time_derivative(C: OperadicParams, params: HOParams,
                        point: PhasePoint) -> list | np.ndarray:
-    """d(mu)/dt along the flow, via qdot = p, pdot = -w^2 q,
-    Qdot = (w/2) P, Pdot = -(w/2) Q."""
+    """d(mu)/dt along the flow.  mu is affine in (q, p, Q, P), so this is
+    mu_slots at the velocity qdot = p, pdot = -w^2 q, Qdot = (w/2) P,
+    Pdot = -(w/2) Q minus mu_slots at the origin."""
     w = params.omega
     q, p, Q, P = point.q, point.p, point.Q, point.P
-    return antisymmetric((
-        (w / 2) * (C.c6 * P - C.c5 * Q),
-        (w / 2) * (C.c5 * P + C.c6 * Q),
-        0,
-        -C.c2 * w * w * q - C.c3 * w * p,
-        C.c2 * w * p - C.c3 * w * w * q,
-        (w / 2) * (C.c7 * P + C.c8 * Q),
-        C.c2 * w * p - C.c3 * w * w * q,
-        -(-C.c2 * w * w * q - C.c3 * w * p),
-        -((w / 2) * (C.c8 * P - C.c7 * Q)),
-    ))
+    at_velocity = mu_slots(C, w, p, -w * w * q, (w / 2) * P, -(w / 2) * Q)
+    at_origin = mu_slots(C, w, 0, 0, 0, 0)
+    return antisymmetric(v - o for v, o in zip(at_velocity, at_origin))
 
 
 def verify_operadic_lax(C: OperadicParams, params: HOParams, t,

@@ -37,8 +37,12 @@ _ZERO_EXPS = (0,) * _NSYM
 
 
 def _exact(value) -> int | Fraction:
-    """A rational number as an int when it is integral, else a Fraction."""
+    """A rational number as an int when it is integral, else a Fraction.
+    Anything else, a float included, raises TypeError: converting it would
+    turn a rounding error into an exact binary fraction."""
     if type(value) is not int:
+        if not isinstance(value, Rational):
+            raise TypeError(f"{value!r} is not a rational number")
         value = Fraction(value)
         if value.denominator == 1:
             return value.numerator
@@ -247,9 +251,10 @@ class CoeffPoly:
     def substitute(self, mapping: dict) -> "CoeffPoly":
         """Replace central symbols by numbers or CoeffPoly values.
 
-        A number folds into each term's coefficient: a term with a positive
-        power of a symbol sent to 0 drops out, and a negative power of one
-        raises ZeroDivisionError.  Numbers are raised to their powers as
+        A number must be rational (a float raises TypeError, as in
+        _exact); it folds into each term's coefficient: a term with a
+        positive power of a symbol sent to 0 drops out, and a negative power
+        of one raises ZeroDivisionError.  Numbers are raised to their powers as
         Fractions (an int to a negative power would give a float), and each
         power is kept as an int when it is integral.  A symbol carrying a
         negative exponent may only be replaced by an invertible monomial.
@@ -257,7 +262,7 @@ class CoeffPoly:
         values = {}
         for name, val in mapping.items():
             values[_SYM_INDEX[name]] = val if isinstance(val, CoeffPoly) \
-                else Fraction(val)
+                else Fraction(_exact(val))
         powers: dict = {}
         out: dict = {}
         for exps, coeff in self.terms.items():
@@ -427,6 +432,9 @@ class NCPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return not self.is_zero
 
     @property
     def is_scalar(self) -> bool:

@@ -166,33 +166,23 @@ def _absmax(x: np.ndarray) -> np.ndarray:
 
 
 def graded_lie_residuals(F: np.ndarray, G: np.ndarray,
-                         H: np.ndarray) -> tuple[bool, float, float]:
+                         H: np.ndarray) -> tuple[float, float]:
     """Graded antisymmetry and graded Jacobi on stacks of operations.
 
     F, G and H hold samples f, g, h along axis 0, all of one dimension and
-    each stack of one degree.  Returns whether the total composition f o g
-    and every bracket had the degree the grading gives; the largest entry
-    of |[f,g] + (-1)^(|f||g|) [g,f]|; and the largest entry of |J| divided
-    by max(1, largest entry of its three terms), where J is
+    each stack of one degree.  Returns the largest entry of
+    |[f,g] + (-1)^(|f||g|) [g,f]|, and the largest entry of |J| divided by
+    max(1, largest entry of its three terms), where J is
     (-1)^(|f||h|) [f,[g,h]] + (-1)^(|g||f|) [g,[h,f]]
     + (-1)^(|h||g|) [h,[f,g]] summed in that order.  Each is a maximum over
     per-sample values, so it does not depend on how samples are stacked.
     """
-    n, d = F.shape[0], F.shape[-1]
-    degrees_ok = True
-
     def bracket(x, y):
-        nonlocal degrees_ok
-        nx, ny = x.ndim - 2, y.ndim - 2
-        xy = _bracket(x, nx, y, ny)
-        degrees_ok &= xy.shape == (n,) + (d,) * (nx + ny)
-        return xy
+        return _bracket(x, x.ndim - 2, y, y.ndim - 2)
 
     def odd(x, y):
         return (x.ndim - 3) * (y.ndim - 3) % 2
 
-    nf, ng = F.ndim - 2, G.ndim - 2
-    degrees_ok &= _total(F, nf, G, ng).shape == (n,) + (d,) * (nf + ng)
     fg = bracket(F, G)
     gf = bracket(G, F)
     anti = float(np.max(_absmax(fg - gf if odd(F, G) else fg + gf)))
@@ -213,4 +203,4 @@ def graded_lie_residuals(F: np.ndarray, G: np.ndarray,
                 jac += term
         del term
     relative = _absmax(jac) / np.maximum(scale, 1.0)
-    return degrees_ok, anti, float(np.max(relative))
+    return anti, float(np.max(relative))

@@ -98,7 +98,7 @@ def quasi_from_phase(params: HOParams, q: float,
 
 PhaseFunction = Callable[[float, float], float]
 
-# central-difference step of poisson_bracket and of the lax suite's velocities
+# central-difference step of poisson_bracket
 DIFF_STEP = 1e-6
 
 

@@ -17,8 +17,7 @@ from oplax.suites import ALL_SUITES
 LABELS = ("VIIa", "IIIa1", "VIa")
 
 CASES = {
-    "operad": {"degree_bookkeeping", "graded_antisymmetry",
-               "graded_jacobi_relative"},
+    "operad": {"graded_antisymmetry", "graded_jacobi_relative"},
     "lax": {"phase_constraints", "quasi_canonical_velocities", "poisson_PQ",
             "matrix_lax_fd", "operadic_lax_analytic", "operadic_lax_fd",
             "unary_bracket_is_commutator"},

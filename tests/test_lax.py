@@ -307,20 +307,21 @@ class TestLaxSuiteGates:
         assert lax_suite().passed
 
     def test_c8_sign_flip_fails_analytic_case(self, monkeypatch, capsys):
-        real = lax.mu_time_derivative
+        """mu_slots is the one statement of the family: a sign typo in the
+        C8 term of mu^3_23 reaches mu and its time derivative alike, and
+        both operadic Lax cases fail."""
+        real = lax.mu_slots
 
-        def flipped(C, params, point):
-            d = real(C, params, point)
-            # the C8 term of mu^3_23 with its sign flipped
-            term = params.omega / 2 * C.c8 * point.Q
-            d[..., 2, 1, 2] -= 2 * term
-            d[..., 2, 2, 1] += 2 * term
-            return d
+        def flipped(C, w, q, p, Q, P):
+            slots = list(real(C, w, q, p, Q, P))
+            c7, c8 = C[6], C[7]
+            slots[5] = c7 * Q + c8 * P
+            return tuple(slots)
 
-        monkeypatch.setattr(lax, "mu_time_derivative", flipped)
+        monkeypatch.setattr(lax, "mu_slots", flipped)
         cases = {c.case_id: c.passed for c in lax_suite().cases}
         assert not cases["operadic_lax_analytic"]
-        assert cases["operadic_lax_fd"]
+        assert not cases["operadic_lax_fd"]
         assert main(["verify", "--target", "lax"]) == 1
         out, err = capsys.readouterr()
         assert "case=operadic_lax_analytic" in out

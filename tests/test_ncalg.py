@@ -240,6 +240,24 @@ class TestCoeffPoly:
             assert type(got) is type(coeff) and got == coeff, poly
             assert_canonical(poly)
 
+    def test_float_coefficients_rejected(self):
+        """A float is not converted to the binary fraction it rounds to:
+        as a number, a monomial's coefficient or a substituted value it
+        raises, while ints and Fractions build the same polynomials as
+        before."""
+        eps = CoeffPoly.symbol("eps")
+        for build in (CoeffPoly.number,
+                      lambda x: CoeffPoly.monomial(x, {"p0": 1}),
+                      lambda x: eps.substitute({"eps": x})):
+            with pytest.raises(TypeError):
+                build(0.5)
+        assert CoeffPoly.number(3).terms == {(0,) * len(SYMBOLS): 3}
+        assert CoeffPoly.monomial(Fraction(4, 2), {"p0": 1}) \
+            == CoeffPoly.monomial(2, {"p0": 1})
+        assert eps.substitute({"eps": Fraction(1, 2)}) \
+            == CoeffPoly.number(Fraction(1, 2))
+        assert eps.substitute({"eps": 2}) == CoeffPoly.number(2)
+
     @given(coeff_polys())
     @settings(max_examples=60, deadline=None)
     def test_r_exponent_canonical(self, a):
@@ -372,6 +390,13 @@ class TestNCPoly:
         assert s.scalar_part() == LAM
         with pytest.raises(ValueError):
             NCPoly.letter(TABLE, "P").scalar_part()
+
+    def test_truth_is_nonzero(self):
+        """Like CoeffPoly, a zero NCPoly is falsy."""
+        assert not NCPoly.zero(TABLE)
+        assert not NCPoly.scalar(TABLE, 0)
+        assert NCPoly.letter(TABLE, "P")
+        assert NCPoly.scalar(TABLE, LAM)
 
     def test_table_mismatch(self):
         other = quasi_ccr_table(("P", "Q"))

@@ -238,15 +238,12 @@ class TestGerstenhaber:
 def reference_operad_residuals(seed, samples):
     """The per-sample loop of the operad suite before it was batched."""
     rng = np.random.default_rng(seed)
-    worst_deg, worst_anti, worst_jacobi = True, 0.0, 0.0
+    worst_anti, worst_jacobi = 0.0, 0.0
     for _ in range(samples):
         dim = int(rng.integers(1, 4))
         f, g, h = (random_op(rng, dim) for _ in range(3))
 
         fg = gerstenhaber(f, g)
-        worst_deg &= fg.degree == f.degree + g.reduced_degree
-        worst_deg &= (total_compose(f, g).degree
-                      == f.degree + g.reduced_degree)
 
         sign = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
         anti = np.max(np.abs(fg.coeffs + sign * gerstenhaber(g, f).coeffs))
@@ -262,7 +259,7 @@ def reference_operad_residuals(seed, samples):
                     np.max(np.abs(t3)), 1.0)
         worst_jacobi = max(worst_jacobi,
                            float(np.max(np.abs(t1 + t2 + t3)) / scale))
-    return worst_deg, worst_anti, worst_jacobi
+    return worst_anti, worst_jacobi
 
 
 class TestBatchedSuite:
@@ -295,8 +292,7 @@ class TestBatchedSuite:
 
         monkeypatch.setattr(suites, "graded_lie_residuals", recorded)
         cases = {c.case_id: c for c in suites.operad_suite(seed).cases}
-        deg, anti, jacobi = reference_operad_residuals(seed, 300)
-        assert cases["degree_bookkeeping"].passed is deg is True
+        anti, jacobi = reference_operad_residuals(seed, 300)
         assert cases["graded_antisymmetry"].residual == anti
         assert cases["graded_jacobi_relative"].residual == jacobi
         assert jacobi > 0.0
@@ -313,7 +309,7 @@ class TestBatchedSuite:
         """No sample checks nothing: every case of the suite fails."""
         monkeypatch.setattr(suites, "OPERAD_SAMPLES", 0)
         report = suites.operad_suite()
-        assert report.failures == len(report.cases) == 3
+        assert report.failures == len(report.cases) == 2
 
     def test_ungraded_sign_rule_fails_antisymmetry(self, monkeypatch):
         """A bracket signed by the arities, (-1)^(nf ng), in place of the

@@ -11,15 +11,22 @@ of the words P^m Q^n, whatever the order of the rewrites.
 
 The oplax values are only read, term by term, and rebuilt as sympy
 expressions, with the radical r taken as sqrt(2 p0).
+
+The classical operadic Lax equation gets an oracle of its own: sympy
+symbols go through lax.mu_slots, the one statement of the family, and the
+derivative along the flow and the bracket with M are sympy's and the index
+formula's, not oplax's.
 """
 
 import pytest
 
 sp = pytest.importorskip("sympy")
 
+from oplax import lax  # noqa: E402
 from oplax import qjacobi as qj  # noqa: E402
 from oplax.bianchi import BianchiType  # noqa: E402
 from oplax.ncalg import SYMBOLS  # noqa: E402
+from oplax.oscillator import HOParams, PhasePoint  # noqa: E402
 
 P, Q = sp.symbols("P Q", commutative=False)
 LETTERS = {"P": P, "Q": Q}
@@ -201,3 +208,60 @@ def test_quantum_theorem_both_conventions(btype):
     for got, expected, residual in zip(right, closed, rep.residuals):
         at_unit = residual.substitute_symbols(qj._UNIT_COORDS)
         assert_same(operator_of(at_unit), got - expected)
+
+
+# mu^1_12, mu^2_12, mu^3_12, mu^1_23, mu^2_23, mu^3_23, mu^1_31, mu^2_31,
+# mu^3_31 as (i, j, k), 0-based: the order of the nine values of mu_slots
+LAX_SLOTS = ((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 2), (1, 1, 2),
+             (2, 1, 2), (0, 2, 0), (1, 2, 0), (2, 2, 0))
+
+
+def oracle_lax():
+    """mu from lax.mu_slots on symbols, as a dict over (i, j, k), with
+    q, p, Q, P functions of t, and the flow q' = p, p' = -omega^2 q,
+    Q' = (omega/2) P, P' = -(omega/2) Q as a substitution of derivatives."""
+    t, w = sp.Symbol("t"), SYM["omega"]
+    C = sp.symbols("c1:10")
+    q, p, Q_, P_ = (sp.Function(n)(t) for n in ("q", "p", "Q", "P"))
+    flow = {q.diff(t): p, p.diff(t): -w ** 2 * q,
+            Q_.diff(t): w * P_ / 2, P_.diff(t): -w * Q_ / 2}
+    mu = {}
+    for (i, j, k), value in zip(LAX_SLOTS, lax.mu_slots(C, w, q, p, Q_, P_),
+                                strict=True):
+        mu[i, j, k], mu[i, k, j] = value, -value
+    point = PhasePoint(t=t, q=q, p=p, Q=Q_, P=P_, H=None)
+    return C, w, point, flow, mu
+
+
+def test_operadic_lax_equation():
+    """dmu/dt = [M, mu] for every C, omega and point: all 27 components of
+    [M, mu]^i_jk = M^i_s mu^s_jk - mu^i_sk M^s_j - mu^i_js M^s_k, with
+    M = (omega/2) [[0, -1, 0], [1, 0, 0], [0, 0, 0]], match sympy's
+    derivative along the flow, and lax.mu_time_derivative is that
+    derivative."""
+    C, w, point, flow, mu = oracle_lax()
+    M = sp.Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]]) * w / 2
+
+    def m(i, j, k):
+        return mu.get((i, j, k), 0)
+
+    oplax_dmu = lax.mu_time_derivative(C, HOParams(w, SYM["p0"]), point)
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                bracket = sum(M[i, s] * m(s, j, k) - m(i, s, k) * M[s, j]
+                              - m(i, j, s) * M[s, k] for s in range(3))
+                derivative = sp.diff(m(i, j, k), point.t).subs(flow)
+                assert sp.expand(derivative - bracket) == 0, (i, j, k)
+                assert sp.expand(oplax_dmu[i][j][k] - derivative) == 0
+
+
+def test_lax_flow_keeps_the_quasi_canonical_constraints():
+    """Along the oracle's flow the derivative of each constraint is a
+    multiple of the other, so a point on P^2 - Q^2 = 2p, QP = omega q stays
+    there."""
+    _, w, pt, flow, _ = oracle_lax()
+    c1 = pt.P ** 2 - pt.Q ** 2 - 2 * pt.p
+    c2 = pt.Q * pt.P - w * pt.q
+    assert sp.expand(c1.diff(pt.t).subs(flow) + 2 * w * c2) == 0
+    assert sp.expand(c2.diff(pt.t).subs(flow) - w * c1 / 2) == 0
