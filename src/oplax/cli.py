@@ -6,6 +6,9 @@ Commands:
   trajectory  emit the oscillator flow with quasi-canonical coordinates
   jacobi      symbolic quantum Jacobi operator report
   spectrum    determinant values selected by the oscillator spectrum
+
+A command whose stdout closes early (oplax trajectory | head -1) exits 141,
+as a process ended by SIGPIPE does in a shell, with no traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 import sys
 import time
@@ -348,9 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # looked up by name on each call, so that the cached parser holds no
-    # command function
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up by name on each call, so that the cached parser holds no
+        # command function
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: on devnull, the flush at exit cannot raise
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -15,12 +15,10 @@ inner bracket of a nested Jacobiator is operator-valued, the placement of
 the structure constant against it matters, so both "left" and "right"
 conventions are implemented and compared against the claimed closed forms.
 
-The Jacobiator is evaluated on vectors with central (scalar) components
-only, as the contraction of the Jacobiator tensor with the coordinates:
-J^i = sum_abc x^a y^b z^c (T^i_abc + T^i_bca + T^i_cab) with
-T^i_abc = sum_k mu^i_ak mu^k_bc in the left convention and
-sum_k mu^k_bc mu^i_ak in the right one (see q_jacobiator, which returns
-32 p0 J, the scale at which every coefficient is an integer).
+The Jacobiator is checked on its tensor J^i_abc (q_jacobiator).  On
+vectors with central (scalar) components it is the contraction
+sum_abc x^a y^b z^c J^i_abc, which is the determinant D of the three
+vectors times J(e1, e2, e3) exactly when the tensor is alternating.
 
 Scalars sqrt(2H) and omega/(2 sqrt(2H)) are the central symbols h and eps;
 sqrt(2 p0) is the radical r with r^2 = 2 p0.
@@ -32,7 +30,7 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from .bianchi import BianchiType, require_deformable
 from .lax import antisymmetric
@@ -107,33 +105,29 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 
-def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
-                 conv: str = "left") -> tuple:
-    """32 p0 times [x,[y,z]] + [y,[z,x]] + [z,[x,y]] with the quantum
-    bracket, for 3-tuples with central (scalar) components.
+def q_jacobiator(qsc, conv: str = "left") -> dict:
+    """32 p0 times the Jacobiator tensor, J^i_abc = J(e_a, e_b, e_c)^i,
 
-    Central coordinates factor out of every product, so the Jacobiator is
-    the contraction of the Jacobiator tensor with them:
-
-        J^i = sum_abc x^a y^b z^c (T^i_abc + T^i_bca + T^i_cab),
+        J^i_abc = T^i_abc + T^i_bca + T^i_cab,
         T^i_abc = sum_k mu^i_ak mu^k_bc      (left convention),
-        T^i_abc = sum_k mu^k_bc mu^i_ak      (right convention).
+        T^i_abc = sum_k mu^k_bc mu^i_ak      (right convention),
+
+    as {(a, b, c): (J^1, J^2, J^3)} over 0-based indices: J is the same on
+    the three rotations of (a, b, c), so each of the 11 rotation orbits
+    has one key, its smallest rotation.
 
     The product is bilinear, so T is antisymmetric in (b, c) when mu is in
     its lower indices: T^i_acb is then taken as -T^i_abc, not multiplied
     out again.  Whether mu is antisymmetric is checked exactly on each
     call; a mu that is not gets every T^i_abc multiplied out.
 
-    The contraction runs on 4r mu, whose coefficients are all integers (r
+    The tensor is built from 4r mu, whose coefficients are all integers (r
     absorbs the a/r entries); r^2 = 2 p0 never halves a coefficient, so its
     products run on Python ints.  It gives 32 p0 J, since (4r)^2 = 32 p0;
     the caller divides by 32 p0 where it needs J itself.
-
-    A component that is not a scalar raises ValueError.
     """
     if conv not in ("left", "right"):
         raise ValueError(f"unknown convention {conv!r}")
-    xs, ys, zs = ([c.scalar_part() for c in e] for e in (x, y, z))
     zero = NCPoly.zero(qsc[0][0][1].table)
     # q_structure's mu is always antisymmetric, but without this check a mu
     # that is not would pass each jacobi_delta_divisible_* case by construction
@@ -153,57 +147,23 @@ def q_jacobiator(x: tuple, y: tuple, z: tuple, qsc,
                 continue
             acc = acc + (outer * inner if conv == "left" else inner * outer)
         T[i, a, b, c] = acc
-    # the cyclic sum is the same for the three rotations of (a, b, c), so
-    # it is scaled once by their coordinate monomials summed
-    coords = {}
-    for a, b, c in product(range(3), repeat=3):
-        orbit = min((a, b, c), (b, c, a), (c, a, b))
-        coords[orbit] = (coords.get(orbit, CoeffPoly.zero())
-                          + xs[a] * ys[b] * zs[c])
-    comps = []
-    for i in range(3):
-        acc = zero
-        for (a, b, c), coord in coords.items():
-            cyclic = T[i, a, b, c] + T[i, b, c, a] + T[i, c, a, b]
-            if not cyclic.is_zero and not coord.is_zero:
-                acc = acc + cyclic * coord
-        comps.append(acc)
-    return tuple(comps)
-
-
-@functools.cache
-def symbolic_coordinates(table: CommutationTable):
-    """Three generic 3-tuples with central coordinate symbols, built once
-    per process and table."""
-    def vec(prefix):
-        return tuple(NCPoly.scalar(table, _sym(f"{prefix}{i}"))
-                     for i in (1, 2, 3))
-    return vec("x"), vec("y"), vec("z")
+    return {(a, b, c): tuple(T[i, a, b, c] + T[i, b, c, a] + T[i, c, a, b]
+                             for i in range(3))
+            for a, b, c in product(range(3), repeat=3)
+            if (a, b, c) == min((a, b, c), (b, c, a), (c, a, b))}
 
 
 @functools.cache
 def det_poly() -> CoeffPoly:
     """Determinant of the coordinate rows (x, y, z) as a scalar polynomial,
-    built once per process."""
+    built once per process: the column orders that rotate 123 enter with
+    +1, those that rotate 132 with -1."""
     out = CoeffPoly.zero()
-    for perm in permutations((1, 2, 3)):
-        sign = _perm_sign(perm)
-        mono = _sym(f"x{perm[0]}") * _sym(f"y{perm[1]}") * _sym(f"z{perm[2]}")
-        out = out + CoeffPoly.number(sign) * mono
+    for cols, sign in (("123", 1), ("231", 1), ("312", 1),
+                       ("132", -1), ("321", -1), ("213", -1)):
+        out = out + CoeffPoly.monomial(
+            sign, {row + col: 1 for row, col in zip("xyz", cols)})
     return out
-
-
-def _perm_sign(perm) -> int:
-    inv = sum(1 for i in range(3) for j in range(i + 1, 3)
-              if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
-
-
-_UNIT_COORDS = {
-    "x1": 1, "x2": 0, "x3": 0,
-    "y1": 0, "y2": 1, "y3": 0,
-    "z1": 0, "z2": 0, "z3": 1,
-}
 
 
 @functools.cache
@@ -227,8 +187,8 @@ def claimed_jacobi(btype: BianchiType, xi: tuple[NCPoly, NCPoly],
         J^1 = -(a det / (r p0)) xi1,  J^2 = -(a det / (r p0)) xi2,
         J^3 = (a^2 det / p0) [P, Q],
 
-    in the algebra of xi = (xi1, xi2); det is the coordinate determinant
-    D (det_poly) or the abstract determinant symbol Delta.
+    in the algebra of xi = (xi1, xi2); det is the determinant of the
+    arguments, the abstract symbol Delta or a value of it.
     """
     require_deformable(btype)
     a = _a_factor(btype)
@@ -254,34 +214,32 @@ class TheoremReport(namedtuple("TheoremReport",
 
 def verify_theorem_q(btype: BianchiType, conv: str = "left",
                      alphabet: str = "PQ") -> TheoremReport:
-    """Compute the Jacobiator on symbolic coordinates and compare it, as an
-    exact polynomial identity, with claimed_jacobi at the coordinate
-    determinant D.  Also checks that every computed component is divisible
-    by D with a coordinate-free quotient.
+    """Compare the Jacobiator with claimed_jacobi per component, as an
+    exact identity for all central coordinates.
 
-    Both sides are compared at 32 p0 times their value (q_jacobiator's
-    scale), where every coefficient is an integer; a nonzero residual is
-    divided by 32 p0 for the report.  Divisibility by D does not depend on
-    the scale.
+    A trilinear J is D J(e1, e2, e3), D the determinant of its arguments,
+    exactly when its tensor is alternating; J_abc is invariant under
+    rotations, so that is J_acb = -J_abc on the orbit of (1, 2, 3) and
+    J = 0 on the nine orbits with a repeated index (delta_divisible).  A
+    divisible component is exact when J(e1, e2, e3) is the closed form at
+    determinant 1.  Both sides are compared at q_jacobiator's scale 32 p0,
+    on integers; a nonzero residual is reported as
+    (J(e1, e2, e3) - closed form) D / (32 p0), D being det_poly.
     """
     table = table_for(alphabet)
-    qsc = q_structure(btype, table)
-    x, y, z = symbolic_coordinates(table)
-    J = q_jacobiator(x, y, z, qsc, conv)
-    D = det_poly()
-    scale = CoeffPoly.monomial(32, {"p0": 1})
-    # the closed form is linear in the determinant, so this is 32 p0 times it
-    expected = claimed_jacobi(btype, xi_polys(table), D * scale)
-    exact, residuals, divisible = [], [], []
-    for comp, exp in zip(J, expected):
-        res = comp - exp
-        exact.append(res.is_zero)
-        residuals.append(res if res.is_zero else res * CoeffPoly.monomial(
-            Fraction(1, 32), {"p0": -1}))
-        quotient = comp.substitute_symbols(_UNIT_COORDS)
-        divisible.append(comp == quotient * D)
-    return TheoremReport(exact=tuple(exact), residuals=tuple(residuals),
-                         delta_divisible=tuple(divisible))
+    J = q_jacobiator(q_structure(btype, table), conv)
+    # the closed form is linear in the determinant: 32 p0 times it at 1
+    expected = claimed_jacobi(btype, xi_polys(table),
+                              CoeffPoly.monomial(32, {"p0": 1}))
+    per_scale = det_poly() * CoeffPoly.monomial(Fraction(1, 32), {"p0": -1})
+    divisible = tuple(J[0, 2, 1][i] == -J[0, 1, 2][i] and all(
+        comps[i].is_zero for orbit, comps in J.items() if len(set(orbit)) < 3)
+        for i in range(3))
+    res = [j - exp for j, exp in zip(J[0, 1, 2], expected)]
+    return TheoremReport(
+        exact=tuple(d and r.is_zero for d, r in zip(divisible, res)),
+        residuals=tuple(r if r.is_zero else r * per_scale for r in res),
+        delta_divisible=divisible)
 
 
 def xi_hform() -> tuple[NCPoly, NCPoly]:

@@ -603,6 +603,26 @@ def test_tables_stream_in_constant_memory(argv, steps):
     assert abs(peaks[1] - peaks[0]) <= 1024, peaks
 
 
+@pytest.mark.parametrize("argv", (
+    ("trajectory", "--steps", "200000"),
+    ("jacobi", "--label", "VIIa")))
+def test_closed_stdout_exits_without_traceback(argv):
+    """A stdout pipe whose reader is gone before the first write, as after
+    `| head -1`: the command exits 141, and neither the command nor the
+    flush at exit prints a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = run_child("import sys\nfrom oplax.cli import main\n"
+                          "sys.exit(main(sys.argv[1:]))", *argv,
+                          stdout=write_end)
+    finally:
+        os.close(write_end)
+    err = child.stderr.decode()
+    assert child.returncode == 141, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 # the nine modules a traced benchmark run patches after importing the CLI
 CLI_MODULES = ("operad", "oscillator", "lax", "bianchi", "ncalg", "qjacobi",
                "suites", "report", "cli")

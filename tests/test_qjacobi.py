@@ -91,32 +91,44 @@ def q_bracket(x: tuple, y: tuple, qsc, conv: str = "left") -> tuple:
     return tuple(comps)
 
 
+def unit_vectors(table):
+    """e1, e2, e3 as 3-tuples of scalar NCPolys."""
+    return tuple(tuple(NCPoly.scalar(table, int(i == j)) for j in range(3))
+                 for i in range(3))
+
+
+# the smallest rotation of each orbit of (a, b, c) under rotation
+ORBITS = ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 1, 2), (0, 2, 1),
+          (0, 2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
+
+
 class TestBracketAndJacobiator:
     def test_convention_domain(self):
         qsc = qj.q_structure(BianchiType.VIIA)
-        x, y, _ = qj.symbolic_coordinates(qj.PQ_TABLE)
         with pytest.raises(ValueError):
-            qj.q_jacobiator(x, y, y, qsc, conv="middle")
+            qj.q_jacobiator(qsc, conv="middle")
 
     def test_bracket_antisymmetric_on_scalars(self):
         qsc = qj.q_structure(BianchiType.VIA)
-        x, y, _ = qj.symbolic_coordinates(qj.PQ_TABLE)
-        xy = q_bracket(x, y, qsc)
-        yx = q_bracket(y, x, qsc)
-        for a, b in zip(xy, yx):
-            assert a == -b
+        e = unit_vectors(qj.PQ_TABLE)
+        for a in range(3):
+            for b in range(3):
+                for u, v in zip(q_bracket(e[a], e[b], qsc),
+                                q_bracket(e[b], e[a], qsc)):
+                    assert u == -v
 
     def test_jacobiator_vanishes_on_repeated_arguments(self):
-        qsc = qj.q_structure(BianchiType.VIIA)
-        x, y, _ = qj.symbolic_coordinates(qj.PQ_TABLE)
-        collapse = {"y1": CoeffPoly.symbol("x1"),
-                    "y2": CoeffPoly.symbol("x2"),
-                    "y3": CoeffPoly.symbol("x3")}
-        for c in qj.q_jacobiator(x, y, y, qsc):
-            # setting y = x kills the determinant factor and the component
-            assert c.substitute_symbols(collapse).is_zero
-        for c in qj.q_jacobiator(x, x, x, qsc):
-            assert c.is_zero
+        """The tensor is alternating in both conventions: zero on every
+        orbit with a repeated index, and odd under the transposition of
+        (1, 2, 3)."""
+        for conv in ("left", "right"):
+            J = qj.q_jacobiator(qj.q_structure(BianchiType.VIIA), conv)
+            assert tuple(J) == ORBITS
+            for orbit, comps in J.items():
+                if len(set(orbit)) < 3:
+                    assert all(c.is_zero for c in comps), (conv, orbit)
+            for u, v in zip(J[0, 2, 1], J[0, 1, 2]):
+                assert not v.is_zero and u == -v
 
 
 CONFIGS = tuple((btype, conv, alphabet) for btype in LABELS
@@ -134,19 +146,21 @@ def nested_jacobiator(x, y, z, qsc, conv):
 
 
 class TestJacobiatorContraction:
-    """The tensor contraction equals the nested brackets it replaces, at
-    its scale 32 p0."""
+    """Each entry of the tensor equals the nested brackets of the basis
+    vectors it stands for, at its scale 32 p0."""
 
     @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
     def test_matches_nested_brackets(self, btype, conv, alphabet):
         table = qj.table_for(alphabet)
         qsc = qj.q_structure(btype, table)
-        x, y, z = qj.symbolic_coordinates(table)
+        e = unit_vectors(table)
         scale = CoeffPoly.monomial(32, {"p0": 1})
-        for args in ((x, y, z), (x, y, y), (x, x, x)):
-            contracted = qj.q_jacobiator(*args, qsc, conv)
-            assert contracted == tuple(
-                c * scale for c in nested_jacobiator(*args, qsc, conv))
+        J = qj.q_jacobiator(qsc, conv)
+        assert tuple(J) == ORBITS
+        for a, b, c in ORBITS:
+            assert J[a, b, c] == tuple(
+                comp * scale
+                for comp in nested_jacobiator(e[a], e[b], e[c], qsc, conv))
 
     @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
     def test_scaled_contraction_is_integral(self, btype, conv, alphabet):
@@ -155,29 +169,21 @@ class TestJacobiatorContraction:
         would fail here rather than fall back to Fractions unseen."""
         table = qj.table_for(alphabet)
         qsc = qj.q_structure(btype, table)
-        x, y, z = qj.symbolic_coordinates(table)
         four_r = CoeffPoly.monomial(4, {"r": 1})
         scaled_mu = [m * four_r for plane in qsc for row in plane for m in row]
-        scaled_J = qj.q_jacobiator(x, y, z, qsc, conv)
-        coeffs = [c for value in scaled_mu + list(scaled_J)
+        scaled_J = [c for comps in qj.q_jacobiator(qsc, conv).values()
+                    for c in comps]
+        coeffs = [c for value in scaled_mu + scaled_J
                   for poly in value.terms.values()
                   for c in poly.terms.values()]
         assert coeffs and all(type(c) is int for c in coeffs)
 
-    def test_operator_component_rejected(self):
-        table = qj.PQ_TABLE
-        qsc = qj.q_structure(BianchiType.VIIA, table)
-        x, y, z = qj.symbolic_coordinates(table)
-        P = NCPoly.letter(table, "P")
-        bad = (P,) + x[1:]
-        for args in ((bad, y, z), (x, bad, z), (x, y, bad)):
-            with pytest.raises(ValueError):
-                qj.q_jacobiator(*args, qsc)
-
 
 class TestDeterminant:
     def test_unit_coords_give_one(self):
-        assert qj.det_poly().substitute(qj._UNIT_COORDS).constant_value() == 1
+        unit = {f"{row}{col}": int(i == j) for i, row in enumerate("xyz")
+                for j, col in enumerate("123")}
+        assert qj.det_poly().substitute(unit).constant_value() == 1
 
     def test_six_terms_and_signs(self):
         D = qj.det_poly()
@@ -388,12 +394,25 @@ class TestQuantumSuiteGates:
         assert len(delta) == 4 * len(LABELS)
         return delta
 
-    def test_wrong_determinant_fails_divisibility(self, monkeypatch):
-        """D with the sign of one transposition (x1 y3 z2) flipped divides
-        no Jacobiator."""
-        wrong = qj.det_poly() \
-            + 2 * CoeffPoly.monomial(1, {"x1": 1, "y3": 1, "z2": 1})
-        monkeypatch.setattr(qj, "det_poly", lambda: wrong)
+    @pytest.mark.parametrize("broken", ("transposition_kept",
+                                        "repeated_orbit_nonzero"))
+    def test_unalternating_tensor_fails_divisibility(self, monkeypatch,
+                                                     broken):
+        """A tensor that is not alternating is D times no quotient: with
+        J_acb = +J_abc on the orbit of (1, 2, 3), or with a nonzero entry
+        on the orbit of (1, 1, 2), every divisibility case fails."""
+        real = qj.q_jacobiator
+
+        def fake(qsc, conv):
+            J = real(qsc, conv)
+            if broken == "transposition_kept":
+                J[0, 2, 1] = J[0, 1, 2]
+            else:
+                one = NCPoly.scalar(J[0, 0, 1][0].table, 1)
+                J[0, 0, 1] = tuple(c + one for c in J[0, 0, 1])
+            return J
+
+        monkeypatch.setattr(qj, "q_jacobiator", fake)
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
         assert not any(cases[k] for k in self.delta_cases(cases))
 

@@ -18,6 +18,8 @@ derivative along the flow and the bracket with M are sympy's and the index
 formula's, not oplax's.
 """
 
+from itertools import product
+
 import pytest
 
 sp = pytest.importorskip("sympy")
@@ -176,15 +178,17 @@ def oracle_structure(btype):
     return lambda i, j, k: mu.get((i, j, k), 0)
 
 
-def oracle_jacobiator(btype, conv):
-    """J(e1, e2, e3) = [e1, [e2, e3]] + [e2, [e3, e1]] + [e3, [e1, e2]]:
+def oracle_jacobiator(btype, conv, abc=(0, 1, 2)):
+    """J(e_a, e_b, e_c) = [e_a, [e_b, e_c]] + [e_b, [e_c, e_a]] +
+    [e_c, [e_a, e_b]] for abc = (a, b, c), 0-based:
     [e_a, [e_b, e_c]]^i = sum_k mu^i_ak mu^k_bc with mu on the left of the
     operator component, or mu^k_bc mu^i_ak with mu on its right."""
     mu = oracle_structure(btype)
+    x, y, z = abc
     out = []
     for i in range(3):
         total = 0
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             for k in range(3):
                 outer, inner = mu(i, a, k), mu(k, b, c)
                 total += outer * inner if conv == "left" else inner * outer
@@ -197,6 +201,8 @@ def test_quantum_theorem_both_conventions(btype):
     """The left convention gives the closed form at D = 1 exactly, and
     oplax certifies it; the right convention leaves oplax's residual at
     unit coordinates."""
+    unit = {f"{row}{col}": int(i == j) for i, row in enumerate("xyz")
+            for j, col in enumerate("123")}
     closed = [c.subs(DELTA, 1) for c in oracle_jacobi(btype)[0]]
     left = oracle_jacobiator(btype, "left")
     for got, expected in zip(left, closed):
@@ -206,8 +212,30 @@ def test_quantum_theorem_both_conventions(btype):
     rep = qj.verify_theorem_q(btype, "right", "PQ")
     assert not rep.all_exact
     for got, expected, residual in zip(right, closed, rep.residuals):
-        at_unit = residual.substitute_symbols(qj._UNIT_COORDS)
+        at_unit = residual.substitute_symbols(unit)
         assert_same(operator_of(at_unit), got - expected)
+
+
+@pytest.mark.parametrize("btype", LABELS)
+def test_jacobiator_tensor_is_alternating(btype):
+    """The factor D: in both conventions J(e_a, e_b, e_c) is 0 whenever an
+    index repeats and changes sign when (1, 2, 3) becomes (1, 3, 2), so the
+    trilinear J(x, y, z) is D J(e1, e2, e3).  On each rotation orbit it
+    equals q_jacobiator's entry divided by 32 p0."""
+    orbits = sorted({min((a, b, c), (b, c, a), (c, a, b))
+                     for a, b, c in product(range(3), repeat=3)})
+    for conv in ("left", "right"):
+        J = qj.q_jacobiator(qj.q_structure(btype), conv)
+        assert sorted(J) == orbits
+        oracle = {abc: oracle_jacobiator(btype, conv, abc) for abc in orbits}
+        for abc in orbits:
+            for got, expected in zip(J[abc], oracle[abc]):
+                assert_same(operator_of(got) / (32 * P0), expected)
+            if len(set(abc)) < 3:
+                assert oracle[abc] == [0, 0, 0], (conv, abc)
+        for odd, even in zip(oracle[0, 2, 1], oracle[0, 1, 2]):
+            assert even != 0
+            assert_same(odd, -even)
 
 
 # mu^1_12, mu^2_12, mu^3_12, mu^1_23, mu^2_23, mu^3_23, mu^1_31, mu^2_31,
