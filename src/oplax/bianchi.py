@@ -7,7 +7,9 @@ The three-dimensional structure equations are parameterized as
 
 Deformations are produced two independent ways: through the 9-parameter
 operadic family (solve_C then build_mu along the trajectory) and through
-stored closed forms; the test suite asserts the two agree.  Type II
+stored closed forms; the test suite asserts the two agree.  The quantum
+structure (qjacobi.q_structure) is the operadic family too, from the same
+rows over symbols, so the closed forms check it as well.  Type II
 (Heisenberg) is data-only: it has no deformation row.  StructureConstants,
 dynamical_deformation, deformation_closed_form and classical_jacobiator
 take stacks of samples and load numpy on first use; label_params (the
@@ -88,12 +90,14 @@ _PARAMS = {
 }
 
 
-def _row_tensor(label: BianchiLabel) -> list:
-    """The structure tensor at t = 0 as a 3x3x3 nested list; with a float a
-    every entry is a float, as in a numpy array of them (its zeros +0.0)."""
-    alpha, n1, n2, n3 = _PARAMS[label.type]
+def _row_tensor(btype: BianchiType, a) -> list:
+    """The structure tensor of the type at t = 0 as a 3x3x3 nested list,
+    with alpha = a where the family has a parameter (a number, or the
+    symbol a of the quantum structure); with a float a every entry is a
+    float, as in a numpy array of them (its zeros +0.0)."""
+    alpha, n1, n2, n3 = _PARAMS[btype]
     if alpha == "a":
-        alpha = label.a
+        alpha = a
     mu = antisymmetric((0, -alpha, n3, n1, 0, 0, 0, n2, alpha))
     if isinstance(alpha, float):
         mu = [[[float(x) for x in row] for row in plane] for plane in mu]
@@ -102,7 +106,7 @@ def _row_tensor(label: BianchiLabel) -> list:
 
 def structure_constants(label: BianchiLabel) -> StructureConstants:
     """The structure tensor of the given Bianchi type at t = 0."""
-    return StructureConstants(np.array(_row_tensor(label)))
+    return StructureConstants(np.array(_row_tensor(*label)))
 
 
 DEFORMABLE = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
@@ -119,7 +123,7 @@ def require_deformable(btype: BianchiType) -> None:
 def label_params(label: BianchiLabel, p0) -> OperadicParams:
     """Operadic parameters whose t = 0 tensor is the Bianchi row."""
     require_deformable(label.type)
-    return solve_C(_row_tensor(label), p0)
+    return solve_C(_row_tensor(*label), p0)
 
 
 def dynamical_deformation(C: OperadicParams, params: HOParams,

@@ -114,9 +114,9 @@ def _emit_rows(header, rows, fmt_name: str, constants=()):
     is not scanned either: before the first row the caller checks in O(1)
     that every value is finite (_require_finite).  Rounding to nearest is
     monotone, so the checks of the time grid (_times), of the trajectory
-    rows and of the spectrum rows are exact; the bounds on the deform rows
-    (_mu_bounds) are sound, and conservative only where no row reaches the
-    amplitudes they assume.
+    rows and of the spectrum rows are exact; the check of the deform rows,
+    mu_slots at the 16 corners of the amplitudes, is sound, and
+    conservative only where no row reaches those amplitudes.
     """
     out = sys.stdout
     varying = len(header) - len(constants)
@@ -185,23 +185,6 @@ def _flow_amplitudes(params: HOParams) -> tuple:
     return p0 / params.omega, p0, math.sqrt(2 * p0)
 
 
-def _mu_bounds(C: tuple, w: float, amplitudes) -> tuple:
-    """A bound on each entry of mu_slots over every row: its terms with q,
-    p, Q and P replaced by their amplitudes, taken in absolute value and
-    summed in mu_slots' order.  Rounding is monotone, so each bound is at
-    least the computed entry, with no margin.  An intermediate such as
-    c3 * w enters as computed (|c3| w is |c3 w| exactly, w > 0): if it
-    overflows, so does its bound."""
-    q, p, QP = amplitudes
-    c1, c2, c3, c4, c5, c6, c7, c8, c9 = map(abs, C)
-    c2w, c3w = c2 * w, c3 * w
-    return (c5 * QP + c6 * QP,        # mu^1_12, mu^2_12
-            c9,                       # mu^3_12
-            c2 * p + c3w * q + c4,    # mu^1_23, mu^2_31
-            c2w * q + c3 * p + c1,    # mu^2_23, mu^1_31
-            c7 * QP + c8 * QP)        # mu^3_23, mu^3_31
-
-
 def cmd_deform(args) -> int:
     label = _make_label(args)
     params = _make_params(args)
@@ -212,8 +195,13 @@ def cmd_deform(args) -> int:
     header = ("t", "q", "p", "Q", "P") + tuple(
         f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
     times = _times(args, params)
-    amplitudes = _flow_amplitudes(params)
-    _require_finite(*amplitudes, *_mu_bounds(C, w, amplitudes))
+    q, p, QP = amplitudes = _flow_amplitudes(params)
+    # each letter enters each entry of mu_slots at most once, and rounding
+    # is monotone: an entry at the corner where all its terms share one sign
+    # bounds, in magnitude, each of its partial sums on any row
+    corners = itertools.product((q, -q), (p, -p), (QP, -QP), (QP, -QP))
+    _require_finite(*amplitudes, *itertools.chain.from_iterable(
+        mu_slots(C, w, *corner) for corner in corners))
     rows = (row + mu_slots(C, w, *row[1:]) for row in flow(params, times))
     _emit_rows(header, rows, args.format)
     return 0

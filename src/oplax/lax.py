@@ -13,16 +13,18 @@ parameters, so any antisymmetric initial tensor round-trips exactly.
 
 mu_slots states the nine components once; build_mu (the full tensor),
 mu_time_derivative (mu is affine in the phase point, so its derivative along
-the flow is mu_slots at the velocity minus mu_slots at the origin) and the
-CLI's deform table read them from there.  mu_slots, antisymmetric,
-build_mu, solve_C and mu_time_derivative use plain Python arithmetic and
-work with floats or exact Fractions alike, without loading numpy; the numpy
-layer only enters in the verification routines: build_M, build_L,
-phase_points and the verify_* routines load it on first use.  On arrays
-(phase_points, C with array fields) the same arithmetic gives a stack of
-samples; the verify_* routines take a 1-D stack of times (a scalar is a
-stack of one) and return each sample's residual bitwise as alone: a float
-for a scalar time, an array for a stack.  They judge nothing: the suite
+the flow is mu_slots at the velocity minus mu_slots at the origin), the
+CLI's deform table and its overflow check (mu_slots at the corners of the
+amplitudes) and qjacobi.q_structure (mu_slots over quasi-CCR operators, C
+from solve_C's formula over central symbols) read them from there.
+mu_slots, antisymmetric, build_mu, solve_C and mu_time_derivative use plain
+Python arithmetic and work with floats or exact Fractions alike, without
+loading numpy; the numpy layer only enters in the verification routines:
+build_M, build_L, phase_points and the verify_* routines load it on first
+use.  On arrays (phase_points, C with array fields) the same arithmetic
+gives a stack of samples; the verify_* routines take a 1-D stack of times
+(a scalar is a stack of one) and return each sample's residual bitwise as
+alone: a float for a scalar time, an array for a stack.  They judge nothing: the suite
 case that reads a residual states its tolerance.  Their finite differences
 are central, with the one step FD_STEP.
 """
@@ -196,6 +198,13 @@ def solve_C(initial_mu, p0) -> OperadicParams:
         r = _exact_sqrt(2 * p0)
     else:
         r = math.sqrt(2 * p0)
+    return _params_of(m, p0, r)
+
+
+def _params_of(m, p0, r) -> OperadicParams:
+    """solve_C's formula with r = sqrt(2 p0) given, for any scalars that
+    divide: floats, Fractions, or the central symbols of ncalg, from which
+    qjacobi builds the quantum structure."""
     mu31_1 = m[0][2][0]
     mu13_2 = m[1][0][2]
     mu23_1 = m[0][1][2]

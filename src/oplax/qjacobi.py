@@ -1,9 +1,10 @@
 """Quantum Bianchi algebras, the quantum Jacobi operator, and its
 semiclassical reductions.
 
-Structure constants become operator-valued: the deformation entries keep
-their closed forms with (q, p, Q, P) promoted to letters of the quasi-CCR
-algebra.  Two alphabet conventions exist:
+Structure constants become operator-valued: q_structure is lax.mu_slots,
+the one statement of the operadic family, at the Bianchi row's C (over the
+central symbols a, p0 and r) with (q, p, Q, P) promoted to operators of the
+quasi-CCR algebra.  Two alphabet conventions exist:
 
   * "PQ"   -- two letters; the operator momentum and position enter through
               p := (P^2 - Q^2)/2 and omega*q := (PQ + QP)/2 read as
@@ -32,8 +33,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .bianchi import BianchiType, require_deformable
-from .lax import antisymmetric
+from .bianchi import BianchiType, _row_tensor, require_deformable
+from .lax import _params_of, antisymmetric, mu_slots
 from .ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly, commutator,
                     quasi_ccr_table)
 
@@ -79,29 +80,20 @@ def _a_factor(btype: BianchiType) -> CoeffPoly:
 @functools.cache
 def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     """3x3x3 nested tuple of NCPoly operator structure constants, built
-    once per process, label and table."""
+    once per process, label and table: lax.mu_slots at the Bianchi row's C
+    (solve_C's formula over the symbols a, p0 and r), with the operators
+    omega*q, p, Q and P for the letters (omega*q is one letter, so w = 1)."""
     require_deformable(btype)
-    a = _a_factor(btype)
-    n3 = 1 if btype is BianchiType.VIIA else -1
-    inv2p0 = CoeffPoly.monomial(Fraction(1, 2), {"p0": -1})
-    inv_r = CoeffPoly.monomial(1, {"r": -1})
-    P = NCPoly.letter(table, "P")
-    Q = NCPoly.letter(table, "Q")
-    p_op = momentum_poly(table)
-    wq_op = omega_q_poly(table)
-    half = NCPoly.scalar(table, Fraction(1, 2))
-
-    mu = antisymmetric((
-        Q * (a * inv_r),                     # mu^1_12 = a Q / r
-        -(P * (a * inv_r)),                  # mu^2_12 = -a P / r
-        NCPoly.scalar(table, n3),            # mu^3_12
-        half - p_op * inv2p0,                # mu^1_23 = (p0 - p)/(2p0)
-        -(wq_op * inv2p0),                   # mu^2_23
-        -(Q * (a * inv_r)),                  # mu^3_23
-        -(wq_op * inv2p0),                   # mu^1_31
-        p_op * inv2p0 + half,                # mu^2_31 = (p + p0)/(2p0)
-        P * (a * inv_r),                     # mu^3_31
-    ), zero=NCPoly.zero(table))
+    # the row's integers as CoeffPolys, which solve_C's formula divides
+    # exactly (an int / 2 would be a float)
+    one = CoeffPoly.one()
+    row = [[[one * x for x in row] for row in plane]
+           for plane in _row_tensor(btype, _sym("a"))]
+    C = _params_of(row, _sym("p0"), _sym("r"))
+    mu = antisymmetric(mu_slots(
+        [NCPoly.scalar(table, c) for c in C], 1, omega_q_poly(table),
+        momentum_poly(table), NCPoly.letter(table, "Q"),
+        NCPoly.letter(table, "P")), zero=NCPoly.zero(table))
     return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oplax import suites
+from oplax import bianchi, suites
+from oplax import qjacobi as qj
 from oplax.bianchi import (BianchiLabel, BianchiType, StructureConstants,
                            UnsupportedLabelError, classical_jacobiator,
                            deformation_closed_form, dynamical_deformation,
@@ -297,4 +298,30 @@ class TestBianchiSuiteGates:
         assert main(["verify", "--target", "bianchi"]) == 1
         out, err = capsys.readouterr()
         assert "case=deformation_closed_forms" in out
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n3", (1, -2))
+    def test_n3_of_the_table_fails_closed_form_case(self, monkeypatch,
+                                                    request, capsys, n3):
+        """VIa's mu^3_12 read from _PARAMS as +1 (VIa becomes VIIa) or -2:
+        the quantum structure, built from the same row, follows it, and the
+        classical closed forms catch it, so verify fails.  q_structure is
+        cached, so the cache is emptied before the mutation and again after
+        it."""
+        before = qj.q_structure(BianchiType.VIA)
+        qj.q_structure.cache_clear()
+        request.addfinalizer(qj.q_structure.cache_clear)
+        alpha, n1, n2, _ = bianchi._PARAMS[BianchiType.VIA]
+        monkeypatch.setitem(bianchi._PARAMS, BianchiType.VIA,
+                            (alpha, n1, n2, n3))
+        mutated = qj.q_structure(BianchiType.VIA)
+        assert mutated != before
+        assert mutated[2][0][1].scalar_part().constant_value() == n3
+        cases = {c.case_id: c.passed for c in bianchi_suite().cases}
+        assert not cases["deformation_closed_forms"]
+        assert main(["verify", "--target", "all"]) == 1
+        out, err = capsys.readouterr()
+        failed = [line.split()[1] for line in out.splitlines()
+                  if line.endswith("pass=false")]
+        assert failed == ["case=deformation_closed_forms", "case=SUMMARY"]
         assert "Traceback" not in err

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
@@ -9,16 +8,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oplax
 from oplax import cli
 from oplax import qjacobi as qj
-from oplax.bianchi import (BianchiLabel, BianchiType, deformation_closed_form,
-                           label_params)
+from oplax.bianchi import (DEFORMABLE, BianchiLabel, BianchiType,
+                           deformation_closed_form, label_params)
 from oplax.cli import main
 from oplax.lax import SLOTS, build_mu
 from oplax.oscillator import HOParams, trajectory
@@ -158,6 +158,85 @@ class TestBoundChecks:
         _, rows = parse_csv(out)
         assert len(rows) == 101
         assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    @staticmethod
+    def term_bounds(C, w, amplitudes):
+        """The deform check before it read mu_slots, kept as the reference:
+        a bound on each entry of mu_slots over every row, its terms with q,
+        p, Q and P replaced by their amplitudes, taken in absolute value
+        and summed in mu_slots' order."""
+        q, p, QP = amplitudes
+        c1, c2, c3, c4, c5, c6, c7, c8, c9 = map(abs, C)
+        c2w, c3w = c2 * w, c3 * w
+        return (c5 * QP + c6 * QP, c9, c2 * p + c3w * q + c4,
+                c2w * q + c3 * p + c1, c7 * QP + c8 * QP)
+
+    def assert_same_verdict(self, label, omega, energy, C=None):
+        """deform of the label exits 0 where the reference bounds are
+        finite and 2 where they are not; C, if given, replaces the label's
+        parameters."""
+        try:
+            params = HOParams.from_energy(omega, energy)
+        except ValueError:  # p0 is not finite: the usage error of any table
+            accepted = False
+        else:
+            amplitudes = cli._flow_amplitudes(params)
+            C_float = tuple(map(float, C or label_params(label, params.p0)))
+            accepted = all(map(math.isfinite, amplitudes + self.term_bounds(
+                C_float, omega, amplitudes)))
+        argv = ["deform", "--label", label.type.value, f"--omega={omega!r}",
+                f"--energy={energy!r}", "--t1", "0", "--steps", "1"]
+        if label.a is not None:
+            argv.append(f"--a={label.a!r}")
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+            stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+            if C is not None:
+                stack.enter_context(mock.patch.object(
+                    cli, "label_params", lambda label, p0: C))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code == (0 if accepted else 2)
+
+    @given(btype=st.sampled_from(DEFORMABLE),
+           a=st.one_of(st.sampled_from((1e-300, 0.7, 2.5, 1e150, 1e300,
+                                        1e308)),
+                       st.floats(TINY, 1e308)),
+           omega=OMEGAS, energy=ENERGIES)
+    @example(btype=BianchiType.IIIA1, a=None, omega=1e308, energy=0.5)
+    @example(btype=BianchiType.VIIA, a=1e300, omega=1e10, energy=0.5)
+    @example(btype=BianchiType.VIIA, a=1e308, omega=1.0, energy=1e-10)
+    @settings(max_examples=400, deadline=None)
+    def test_corner_check_accepts_what_the_term_bounds_accept(
+            self, btype, a, omega, energy):
+        assume(not (btype is BianchiType.VIA and a == 1))
+        a = None if btype is BianchiType.IIIA1 else a
+        self.assert_same_verdict(BianchiLabel(btype, a), omega, energy)
+
+    @given(C=st.lists(st.one_of(
+               st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e154, -1e154, 1e300,
+                                -1e300, MAX, -MAX)),
+               st.floats(allow_nan=False, allow_infinity=False)),
+               min_size=9, max_size=9),
+           omega=OMEGAS, energy=ENERGIES)
+    # mu^1_23 = c2 p - c3 w q - c4 cancels where p > 0 and overflows where
+    # p < 0
+    @example(C=[0.0, MAX, 0.0, MAX, 0.0, 0.0, 0.0, 0.0, 0.0], omega=1.0,
+             energy=0.5)
+    # mu^1_12 = c5 P + c6 Q is finite where one letter is at its amplitude
+    # sqrt(2) and overflows at the corner where both are
+    @example(C=[0.0, 0.0, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0, 0.0], omega=1.0,
+             energy=0.5)
+    @settings(max_examples=400, deadline=None)
+    def test_corner_check_accepts_what_the_term_bounds_accept_for_any_C(
+            self, C, omega, energy):
+        """A Bianchi row has c1 = c3 = 0, so each entry has at most one
+        term that grows with the flow; any C has terms that cancel at some
+        corners and add up at another."""
+        self.assert_same_verdict(BianchiLabel(BianchiType.IIIA1), omega,
+                                 energy, C)
 
 
 @pytest.mark.parametrize("code, argv", (
@@ -406,21 +485,23 @@ class TestJacobi:
         assert outs[0]["h_equals_e"] == outs[1]["h_equals_e"]
 
     def test_reports_are_unchanged(self, capsys):
-        """The 12 JSON reports, label by convention by alphabet, pinned by
-        one sha256: exact rational text with no BLAS in the path, so the
-        pin holds on every platform."""
+        """The 24 reports, label by convention by alphabet by format, are
+        byte-equal to tests/golden/jacobi.txt: exact rational text with no
+        BLAS in the path, so the file holds on every platform, and a moved
+        entry shows as a one-line diff of it."""
         reports = []
         for label in ("VIIa", "IIIa1", "VIa"):
             for convention in ("left", "right"):
                 for alphabet in ("pq", "qpPQ"):
-                    code, out, _ = run_cli(
-                        capsys, "jacobi", "--label", label, "--convention",
-                        convention, "--alphabet", alphabet, "--format",
-                        "json")
-                    assert code == 0
-                    reports.append(out)
-        assert hashlib.sha256("".join(reports).encode()).hexdigest() == (
-            "4742fead75442236f1bd837c135d5dbc097456bfd4b7098bc423a07c01590d5a")
+                    for fmt_name in ("text", "json"):
+                        code, out, _ = run_cli(
+                            capsys, "jacobi", "--label", label,
+                            "--convention", convention, "--alphabet",
+                            alphabet, "--format", fmt_name)
+                        assert code == 0
+                        reports.append(out)
+        golden = Path(__file__).parent / "golden" / "jacobi.txt"
+        assert "".join(reports) == golden.read_text()
 
     def test_type_ii_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "jacobi", "--label", "II")

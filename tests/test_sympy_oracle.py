@@ -7,7 +7,8 @@ overlaps neither itself nor another left side, and each rewrite lowers the
 number of (Q, P) inversions of a word, so by Bergman's diamond lemma
 (G. M. Bergman, "The diamond lemma for ring theory", Adv. Math. 29 (1978)
 178-218) the rewriting terminates in the same normal form, a combination
-of the words P^m Q^n, whatever the order of the rewrites.
+of the words P^m Q^n, whatever the order of the rewrites.  The letters q
+and p of the four-letter alphabet are commuting sympy symbols.
 
 The oplax values are only read, term by term, and rebuilt as sympy
 expressions, with the radical r taken as sqrt(2 p0).
@@ -31,7 +32,9 @@ from oplax.ncalg import SYMBOLS  # noqa: E402
 from oplax.oscillator import HOParams, PhasePoint  # noqa: E402
 
 P, Q = sp.symbols("P Q", commutative=False)
-LETTERS = {"P": P, "Q": Q}
+# the letters q and p of the four-letter alphabet commute with everything
+q_, p_ = sp.symbols("q p")
+LETTERS = {"P": P, "Q": Q, "q": q_, "p": p_}
 SYM = {name: sp.Symbol(name, positive=True) for name in SYMBOLS}
 SYM["lambda"] = sp.Symbol("lambda")  # hbar/i, not a positive real
 SYM["r"] = sp.sqrt(2 * SYM["p0"])
@@ -42,9 +45,13 @@ LAM, EPS, OMEGA, A, DELTA, P0 = (SYM[n] for n in
 P_OP = (P * P - Q * Q) / 2
 OMEGA_Q_OP = (P * Q + Q * P) / 2
 H_OP = (P * P + Q * Q) / 2
+# (p, omega*q) of each alphabet: with two letters, p = (P^2 - Q^2)/2 and
+# omega*q = (PQ + QP)/2; with four, the letters p and q
+OPERATORS = {"PQ": (P_OP, OMEGA_Q_OP), "qpPQ": (p_, OMEGA * q_)}
 ON_SHELL = {EPS: OMEGA / (2 * P0)}
 
 LABELS = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
+ALPHABETS = tuple(OPERATORS)
 
 
 def letters_of(term) -> list:
@@ -94,18 +101,30 @@ def assert_same(got, expected):
     assert diff == 0 or sp.simplify(diff) == 0, (got, expected)
 
 
-def oracle_xi():
-    return (normal_order(OMEGA_Q_OP * Q + (P_OP - P0) * P),
-            normal_order(OMEGA_Q_OP * P - (P_OP + P0) * Q))
+def oracle_xi(alphabet="PQ"):
+    p_op, wq_op = OPERATORS[alphabet]
+    return (normal_order(wq_op * Q + (p_op - P0) * P),
+            normal_order(wq_op * P - (p_op + P0) * Q))
+
+
+def closed_form_coefficients(btype):
+    """-(a Delta / (r p0)) and a^2 Delta / p0: the claimed Jacobiator is
+    J^{1,2} = the first times xi^{1,2} and J^3 = the second times PQ - QP."""
+    a = 1 if btype is BianchiType.IIIA1 else A
+    return -(a * DELTA / (SYM["r"] * P0)), a * a * DELTA / P0
+
+
+def oracle_closed_form(btype, alphabet="PQ"):
+    coef, coef3 = closed_form_coefficients(btype)
+    return [coef * xi for xi in oracle_xi(alphabet)] + [
+        coef3 * normal_order(P * Q - Q * P)]
 
 
 def oracle_jacobi(btype):
-    """The semiclassical Jacobiator J^{1,2} = -(a Delta / (r p0)) xi^{1,2},
-    J^3 = (a^2 Delta / p0)(PQ - QP), and its form at H = E."""
-    a = 1 if btype is BianchiType.IIIA1 else A
-    coef = -(a * DELTA / (SYM["r"] * P0))
-    j3 = (a * a * DELTA / P0) * normal_order(P * Q - Q * P)
-    semi = [coef * xi for xi in oracle_xi()] + [j3]
+    """The semiclassical Jacobiator, the closed form of the two-letter
+    alphabet, and its form at H = E."""
+    coef, _ = closed_form_coefficients(btype)
+    semi = oracle_closed_form(btype)
     at_he = []
     for xi, letter in zip(oracle_xi(), (P, Q)):
         # xi = letter * H + a part linear in the letters; H = E puts p0
@@ -113,7 +132,7 @@ def oracle_jacobi(btype):
         rest = normal_order(xi - letter * H_OP)
         assert all(len(letters_of(t)) <= 1 for t in sp.Add.make_args(rest))
         at_he.append(coef * sp.expand((rest + letter * P0).subs(ON_SHELL)))
-    at_he.append(j3.subs(ON_SHELL))
+    at_he.append(semi[2].subs(ON_SHELL))
     return semi, at_he
 
 
@@ -123,8 +142,10 @@ def bracket_on_shell(x, y):
 
 
 def test_xi_normal_forms():
-    for got, expected in zip(qj.xi_polys(qj.PQ_TABLE), oracle_xi()):
-        assert_same(operator_of(got), expected)
+    for alphabet in ALPHABETS:
+        for got, expected in zip(qj.xi_polys(qj.table_for(alphabet)),
+                                 oracle_xi(alphabet)):
+            assert_same(operator_of(got), expected)
 
 
 def test_rewriting_reaches_the_ordered_basis():
@@ -158,18 +179,18 @@ def test_derivative_algebra_constants(btype):
     assert_same(scalar_of(da.beta_sq), beta_sq)
 
 
-def oracle_structure(btype):
-    """mu^i_jk from P and Q, with p = (P^2 - Q^2)/2 and omega*q =
-    (PQ + QP)/2: the nine entries of the paper's table, by (i, j, k), and
-    their negatives at the transposed lower indices."""
+def oracle_structure(btype, alphabet="PQ"):
+    """mu^i_jk from the letters: the nine entries of the paper's table, by
+    (i, j, k), and their negatives at the transposed lower indices."""
     a = 1 if btype is BianchiType.IIIA1 else A
     n3 = 1 if btype is BianchiType.VIIA else -1
     r = SYM["r"]
+    p_op, wq_op = OPERATORS[alphabet]
     entries = {
         (0, 0, 1): a * Q / r, (1, 0, 1): -a * P / r, (2, 0, 1): n3,
-        (0, 1, 2): (P0 - P_OP) / (2 * P0), (1, 1, 2): -OMEGA_Q_OP / (2 * P0),
+        (0, 1, 2): (P0 - p_op) / (2 * P0), (1, 1, 2): -wq_op / (2 * P0),
         (2, 1, 2): -a * Q / r,
-        (0, 2, 0): -OMEGA_Q_OP / (2 * P0), (1, 2, 0): (P_OP + P0) / (2 * P0),
+        (0, 2, 0): -wq_op / (2 * P0), (1, 2, 0): (p_op + P0) / (2 * P0),
         (2, 2, 0): a * P / r,
     }
     mu = {}
@@ -178,12 +199,23 @@ def oracle_structure(btype):
     return lambda i, j, k: mu.get((i, j, k), 0)
 
 
-def oracle_jacobiator(btype, conv, abc=(0, 1, 2)):
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+@pytest.mark.parametrize("btype", LABELS)
+def test_structure_entry_by_entry(btype, alphabet):
+    """All 27 entries of q_structure, which is lax.mu_slots over operators,
+    are the paper's table."""
+    mu = oracle_structure(btype, alphabet)
+    qsc = qj.q_structure(btype, qj.table_for(alphabet))
+    for i, j, k in product(range(3), repeat=3):
+        assert_same(operator_of(qsc[i][j][k]), normal_order(mu(i, j, k)))
+
+
+def oracle_jacobiator(btype, conv, abc=(0, 1, 2), alphabet="PQ"):
     """J(e_a, e_b, e_c) = [e_a, [e_b, e_c]] + [e_b, [e_c, e_a]] +
     [e_c, [e_a, e_b]] for abc = (a, b, c), 0-based:
     [e_a, [e_b, e_c]]^i = sum_k mu^i_ak mu^k_bc with mu on the left of the
     operator component, or mu^k_bc mu^i_ak with mu on its right."""
-    mu = oracle_structure(btype)
+    mu = oracle_structure(btype, alphabet)
     x, y, z = abc
     out = []
     for i in range(3):
@@ -198,36 +230,40 @@ def oracle_jacobiator(btype, conv, abc=(0, 1, 2)):
 
 @pytest.mark.parametrize("btype", LABELS)
 def test_quantum_theorem_both_conventions(btype):
-    """The left convention gives the closed form at D = 1 exactly, and
-    oplax certifies it; the right convention leaves oplax's residual at
-    unit coordinates."""
+    """In both alphabets, the left convention gives the closed form at
+    D = 1 exactly, and oplax certifies it; the right convention leaves
+    oplax's residual at unit coordinates."""
     unit = {f"{row}{col}": int(i == j) for i, row in enumerate("xyz")
             for j, col in enumerate("123")}
-    closed = [c.subs(DELTA, 1) for c in oracle_jacobi(btype)[0]]
-    left = oracle_jacobiator(btype, "left")
-    for got, expected in zip(left, closed):
-        assert_same(got, expected)
-    assert qj.verify_theorem_q(btype, "left", "PQ").all_exact
-    right = oracle_jacobiator(btype, "right")
-    rep = qj.verify_theorem_q(btype, "right", "PQ")
-    assert not rep.all_exact
-    for got, expected, residual in zip(right, closed, rep.residuals):
-        at_unit = residual.substitute_symbols(unit)
-        assert_same(operator_of(at_unit), got - expected)
+    for alphabet in ALPHABETS:
+        closed = [c.subs(DELTA, 1)
+                  for c in oracle_closed_form(btype, alphabet)]
+        left = oracle_jacobiator(btype, "left", alphabet=alphabet)
+        for got, expected in zip(left, closed):
+            assert_same(got, expected)
+        assert qj.verify_theorem_q(btype, "left", alphabet).all_exact
+        right = oracle_jacobiator(btype, "right", alphabet=alphabet)
+        rep = qj.verify_theorem_q(btype, "right", alphabet)
+        assert not rep.all_exact
+        for got, expected, residual in zip(right, closed, rep.residuals):
+            at_unit = residual.substitute_symbols(unit)
+            assert_same(operator_of(at_unit), got - expected)
 
 
 @pytest.mark.parametrize("btype", LABELS)
 def test_jacobiator_tensor_is_alternating(btype):
-    """The factor D: in both conventions J(e_a, e_b, e_c) is 0 whenever an
-    index repeats and changes sign when (1, 2, 3) becomes (1, 3, 2), so the
-    trilinear J(x, y, z) is D J(e1, e2, e3).  On each rotation orbit it
-    equals q_jacobiator's entry divided by 32 p0."""
+    """The factor D: in both conventions and alphabets J(e_a, e_b, e_c) is
+    0 whenever an index repeats and changes sign when (1, 2, 3) becomes
+    (1, 3, 2), so the trilinear J(x, y, z) is D J(e1, e2, e3).  On each
+    rotation orbit it equals q_jacobiator's entry divided by 32 p0."""
     orbits = sorted({min((a, b, c), (b, c, a), (c, a, b))
                      for a, b, c in product(range(3), repeat=3)})
-    for conv in ("left", "right"):
-        J = qj.q_jacobiator(qj.q_structure(btype), conv)
+    for conv, alphabet in product(("left", "right"), ALPHABETS):
+        J = qj.q_jacobiator(qj.q_structure(btype, qj.table_for(alphabet)),
+                            conv)
         assert sorted(J) == orbits
-        oracle = {abc: oracle_jacobiator(btype, conv, abc) for abc in orbits}
+        oracle = {abc: oracle_jacobiator(btype, conv, abc, alphabet)
+                  for abc in orbits}
         for abc in orbits:
             for got, expected in zip(J[abc], oracle[abc]):
                 assert_same(operator_of(got) / (32 * P0), expected)
