@@ -204,16 +204,20 @@ def solve_C(initial_mu, p0) -> OperadicParams:
 def _params_of(m, p0, r) -> OperadicParams:
     """solve_C's formula with r = sqrt(2 p0) given, for any scalars that
     divide: floats, Fractions, or the central symbols of ncalg, from which
-    qjacobi builds the quantum structure."""
+    qjacobi builds the quantum structure.  1/2 is taken in p0's type
+    (p0 / p0 is one), so int entries over a Fraction p0 give exact c1 and
+    c4, where int / 2 would be a float; over a float p0, x * 0.5 is x / 2
+    bit for bit."""
     mu31_1 = m[0][2][0]
     mu13_2 = m[1][0][2]
     mu23_1 = m[0][1][2]
     mu23_2 = m[1][1][2]
+    half = p0 / p0 / 2
     return OperadicParams(
-        c1=(mu23_2 - mu31_1) / 2,
+        c1=(mu23_2 - mu31_1) * half,
         c2=(mu13_2 + mu23_1) / (2 * p0),
         c3=(mu23_2 + mu31_1) / (2 * p0),
-        c4=(mu13_2 - mu23_1) / 2,
+        c4=(mu13_2 - mu23_1) * half,
         c5=m[0][0][1] / r,
         c6=-m[1][0][1] / r,
         c7=m[2][0][2] / r,

@@ -84,8 +84,8 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     (solve_C's formula over the symbols a, p0 and r), with the operators
     omega*q, p, Q and P for the letters (omega*q is one letter, so w = 1)."""
     require_deformable(btype)
-    # the row's integers as CoeffPolys, which solve_C's formula divides
-    # exactly (an int / 2 would be a float)
+    # the row's integers as CoeffPolys: solve_C's formula divides them by
+    # the symbols p0 and r, and an int cannot be divided by a CoeffPoly
     one = CoeffPoly.one()
     row = [[[one * x for x in row] for row in plane]
            for plane in _row_tensor(btype, _sym("a"))]

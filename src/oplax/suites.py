@@ -4,14 +4,17 @@ Each suite takes only its seed.  It draws its random cases from a seeded
 generator, records one CaseResult per check, and reports worst-case
 residuals (a NaN fails its case) so that reruns with the same seed are
 byte-identical.  Each case states its tolerance once, where it is judged,
-and the report prints it.  The operad suite draws OPERAD_SAMPLES random
-triples; the lax and bianchi cases on a time grid take T_SAMPLES times.
+and the report prints it.  Random data is drawn in bulk: the operad suite
+draws the shapes of OPERAD_SAMPLES random triples in one call and the
+integer coefficients of each group of one shape in one call per operand
+(so its residuals are exact, on any BLAS), and the bianchi suite's exact
+round trip draws its numerators and its denominators in one call each.
+The lax and bianchi cases on a time grid take T_SAMPLES times.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
 
 from . import qjacobi as qj
@@ -20,8 +23,8 @@ from .bianchi import (DEFORMABLE, BianchiLabel, BianchiType,
                       classical_jacobiator, deformation_closed_form,
                       dynamical_deformation, label_params,
                       structure_constants)
-from .lax import (FD_STEP, OperadicParams, _exact_sqrt, build_mu,
-                  phase_points, solve_C, verify_matrix_lax,
+from .lax import (FD_STEP, SLOTS, OperadicParams, _exact_sqrt, antisymmetric,
+                  build_mu, phase_points, solve_C, verify_matrix_lax,
                   verify_operadic_lax)
 from .ncalg import CoeffPoly, NCPoly
 from .operad import MultiOp, gerstenhaber, graded_lie_residuals
@@ -36,9 +39,11 @@ np = LazyNumpy(globals())
 OPERAD_SAMPLES = 1000
 T_SAMPLES = 100
 
-# The operad suite composes the samples of one dim and degrees in stacks whose
-# Jacobi terms stay within BATCH_BYTES (the largest tensors go one sample at
-# a time), so no stacked array reaches the malloc mmap threshold (128 KiB).
+# The operad suite draws the coefficients of all samples of one dim and
+# degrees at once (at most some 12 KiB per operand) and composes them in
+# stacks whose Jacobi terms stay within BATCH_BYTES (the largest tensors go
+# one sample at a time), so no stacked array reaches the malloc mmap
+# threshold (128 KiB).
 BATCH_BYTES = 64 * 1024
 
 # The lax and bianchi float checks run on stacks of at most CHUNK samples.  A
@@ -69,47 +74,36 @@ def _add_worst(rep: SuiteReport, case_id: str, tol: float, *residuals):
     rep.add(case_id, worst <= tol, residual=worst, tol=tol)
 
 
-def _random_coeffs(rng: np.random.Generator, dim: int) -> np.ndarray:
-    degree = int(rng.integers(1, 4))
-    return rng.uniform(-1.0, 1.0, size=(dim,) * (degree + 1))
-
-
 def operad_suite(seed: int = 42) -> SuiteReport:
-    """Graded antisymmetry and graded Jacobi on random operations.
+    """Graded antisymmetry and graded Jacobi on random integer operations.
 
-    All samples are drawn first and grouped by dim and degrees; each group
-    is composed in stacks of at most BATCH_BYTES of Jacobi terms, and the
-    residuals are per-sample maxima.
+    One draw gives each sample's dim and the degrees of f, g and h; the
+    samples are grouped by them, and each group draws the coefficients of
+    f, g and h in one call each, then is composed in stacks of at most
+    BATCH_BYTES of Jacobi terms.  The residuals are per-sample maxima.
     """
     rng = np.random.default_rng(seed)
     rep = SuiteReport("operad", seed=seed)
 
-    # (shape of f, g, h) -> the coefficients of f, g and h, flat
-    groups = defaultdict(lambda: (bytearray(), bytearray(), bytearray()))
-    for _ in range(OPERAD_SAMPLES):
-        dim = int(rng.integers(1, 4))
-        sample = [_random_coeffs(rng, dim) for _ in range(3)]
-        # tuple(generator) resizes the tuple it builds, and CPython keeps
-        # such 3-tuples on its free list; a list builds it at its size
-        key = tuple([c.shape for c in sample])
-        for flat, c in zip(groups[key], sample):
-            flat += c.tobytes()
-
+    groups, counts = np.unique(rng.integers(1, 4, size=(OPERAD_SAMPLES, 4)),
+                               axis=0, return_counts=True)
     antis, jacobis = [], []
-    for key, group in groups.items():
-        stacks = [np.frombuffer(flat).reshape((-1,) + shape)
-                  for flat, shape in zip(group, key)]
+    for (dim, *degrees), count in zip(groups.tolist(), counts.tolist()):
+        stacks = [rng.integers(-3, 4, size=(count,) + (dim,) * (degree + 1))
+                  .astype(float) for degree in degrees]
         # a Jacobi term of degree deg f + deg g + deg h - 2
-        term_bytes = 8 * key[0][0] ** (sum(map(len, key)) - 4)
-        n = max(1, BATCH_BYTES // term_bytes)
-        for i in range(0, len(stacks[0]), n):
+        n = max(1, BATCH_BYTES // (8 * dim ** (sum(degrees) - 1)))
+        for i in range(0, count, n):
             anti, jacobi = graded_lie_residuals(
                 *(stack[i:i + n] for stack in stacks))
             antis.append(anti)
             jacobis.append(jacobi)
 
-    _add_worst(rep, "graded_antisymmetry", 1e-12, *antis)
-    _add_worst(rep, "graded_jacobi_relative", 1e-9, *jacobis)
+    # integer coefficients in [-3, 3]: every entry and partial sum is an
+    # integer far below 2**53 (the largest bracket entry is about 1e3), so
+    # exact in any summation order, and both identities hold exactly
+    _add_worst(rep, "graded_antisymmetry", 0.0, *antis)
+    _add_worst(rep, "graded_jacobi_relative", 0.0, *jacobis)
     return rep
 
 
@@ -240,26 +234,25 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
                *(_chunked(closed_form_gap(label), times)
                  for label in _DEFORM_LABELS))
 
-    # exact round trips: Bianchi rows and random rational tensors
+    # exact round trips at each p0: the Bianchi rows, and 25 random tensors
+    # whose nine independent entries are rationals, their numerators and
+    # denominators drawn in one call each; every solved parameter must be
+    # exact
+    rows_exact = [structure_constants(BianchiLabel(
+        label.type, None if label.a is None else Fraction(label.a)))
+        .array.tolist() for label in _DEFORM_LABELS]
+    shape = (len(_EXACT_P0), 25, len(SLOTS))
+    nums = rng.integers(-8, 9, size=shape).tolist()
+    dens = rng.integers(1, 5, size=shape).tolist()
     ok = True
-    for p0 in _EXACT_P0:
-        r = _exact_sqrt(2 * p0)
-        pt = _exact_initial_point(p0, r)
+    for p0, p0_nums, p0_dens in zip(_EXACT_P0, nums, dens):
+        pt = _exact_initial_point(p0, _exact_sqrt(2 * p0))
         ho = HOParams(Fraction(1), p0)
-        for label in _DEFORM_LABELS:
-            a_exact = None if label.a is None else Fraction(label.a)
-            sc = structure_constants(
-                BianchiLabel(label.type, a_exact)).array.tolist()
-            ok &= (build_mu(solve_C(sc, p0), ho, pt) == sc)
-        for _ in range(25):
-            m = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-            for i in range(3):
-                for (j, k) in ((0, 1), (0, 2), (1, 2)):
-                    v = Fraction(int(rng.integers(-8, 9)),
-                                 int(rng.integers(1, 5)))
-                    m[i][j][k] = v
-                    m[i][k][j] = -v
-            ok &= (build_mu(solve_C(m, p0), ho, pt) == m)
+        for m in rows_exact + [antisymmetric(map(Fraction, n, d))
+                               for n, d in zip(p0_nums, p0_dens)]:
+            C = solve_C(m, p0)
+            ok &= (all(isinstance(c, (int, Fraction)) for c in C)
+                   and build_mu(C, ho, pt) == m)
     rep.add("solve_build_roundtrip_exact", ok)
 
     # classical Jacobi identity along the flow: per label 25 times and four

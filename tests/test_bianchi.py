@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oplax import bianchi, suites
+from oplax import bianchi, lax, suites
 from oplax import qjacobi as qj
 from oplax.bianchi import (BianchiLabel, BianchiType, StructureConstants,
                            UnsupportedLabelError, classical_jacobiator,
@@ -103,6 +103,17 @@ class TestDeformations:
         for p0 in (0.9, Fraction(9, 8)):
             expected = solve_C(structure_constants(label).array.tolist(), p0)
             assert repr(label_params(label, p0)) == repr(expected)
+
+    @pytest.mark.parametrize("label", [
+        BianchiLabel(BianchiType.VIIA, Fraction(1, 2)),
+        BianchiLabel(BianchiType.IIIA1),
+        BianchiLabel(BianchiType.VIA, Fraction(5, 2))])
+    def test_exact_p0_gives_exact_params(self, label):
+        """A row of ints and Fractions over a Fraction p0 solves to ints and
+        Fractions: c1 and c4 halve exactly, not to floats."""
+        C = label_params(label, Fraction(9, 8))
+        assert all(isinstance(c, (int, Fraction)) for c in C), C
+        assert (C.c1, C.c4) == (0, Fraction(-1, 2))
 
     @pytest.mark.parametrize("label", DEFORMABLE)
     def test_initial_value(self, label):
@@ -299,6 +310,26 @@ class TestBianchiSuiteGates:
         out, err = capsys.readouterr()
         assert "case=deformation_closed_forms" in out
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mutation", ("c5_c6_swapped", "float_halves"))
+    def test_params_mutation_fails_roundtrip(self, monkeypatch, mutation):
+        """solve_C's formula with c5 and c6 swapped, or with c1 and c4
+        halved by the int 2 (a float for a Bianchi row of ints, exactly
+        equal to the Fraction it stands for), fails
+        solve_build_roundtrip_exact: the second only by the check that every
+        solved parameter is exact."""
+        real = lax._params_of
+
+        def mutated(m, p0, r):
+            C = real(m, p0, r)
+            if mutation == "c5_c6_swapped":
+                return C._replace(c5=C.c6, c6=C.c5)
+            return C._replace(c1=(m[1][1][2] - m[0][2][0]) / 2,
+                              c4=(m[1][0][2] - m[0][1][2]) / 2)
+
+        monkeypatch.setattr(lax, "_params_of", mutated)
+        cases = {c.case_id: c.passed for c in bianchi_suite().cases}
+        assert not cases["solve_build_roundtrip_exact"]
 
     @pytest.mark.parametrize("n3", (1, -2))
     def test_n3_of_the_table_fails_closed_form_case(self, monkeypatch,

@@ -236,30 +236,44 @@ class TestGerstenhaber:
 
 
 def reference_operad_residuals(seed, samples):
-    """The per-sample loop of the operad suite before it was batched."""
+    """The operad suite's data composed one sample at a time through the
+    MultiOp API: the same draws (dim and the three degrees of every sample
+    in one call, grouped by np.unique, then each group's coefficients of
+    f, g and h in one call each)."""
     rng = np.random.default_rng(seed)
+    groups, counts = np.unique(rng.integers(1, 4, size=(samples, 4)),
+                               axis=0, return_counts=True)
     worst_anti, worst_jacobi = 0.0, 0.0
-    for _ in range(samples):
-        dim = int(rng.integers(1, 4))
-        f, g, h = (random_op(rng, dim) for _ in range(3))
+    for (dim, *degrees), count in zip(groups.tolist(), counts.tolist()):
+        stacks = [rng.integers(-3, 4, size=(count,) + (dim,) * (degree + 1))
+                  .astype(float) for degree in degrees]
+        for coeffs in zip(*stacks):
+            f, g, h = (MultiOp(c.ndim - 1, dim, c) for c in coeffs)
+            fg = gerstenhaber(f, g)
 
-        fg = gerstenhaber(f, g)
+            sign = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
+            anti = np.max(np.abs(fg.coeffs
+                                 + sign * gerstenhaber(g, f).coeffs))
+            worst_anti = max(worst_anti, float(anti))
 
-        sign = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
-        anti = np.max(np.abs(fg.coeffs + sign * gerstenhaber(g, f).coeffs))
-        worst_anti = max(worst_anti, float(anti))
+            def ssign(u, v):
+                return -1.0 if (u.reduced_degree * v.reduced_degree) % 2 \
+                    else 1.0
 
-        def ssign(u, v):
-            return -1.0 if (u.reduced_degree * v.reduced_degree) % 2 else 1.0
-
-        t1 = ssign(f, h) * gerstenhaber(f, gerstenhaber(g, h)).coeffs
-        t2 = ssign(g, f) * gerstenhaber(g, gerstenhaber(h, f)).coeffs
-        t3 = ssign(h, g) * gerstenhaber(h, gerstenhaber(f, g)).coeffs
-        scale = max(np.max(np.abs(t1)), np.max(np.abs(t2)),
-                    np.max(np.abs(t3)), 1.0)
-        worst_jacobi = max(worst_jacobi,
-                           float(np.max(np.abs(t1 + t2 + t3)) / scale))
+            t1 = ssign(f, h) * gerstenhaber(f, gerstenhaber(g, h)).coeffs
+            t2 = ssign(g, f) * gerstenhaber(g, gerstenhaber(h, f)).coeffs
+            t3 = ssign(h, g) * gerstenhaber(h, gerstenhaber(f, g)).coeffs
+            scale = max(np.max(np.abs(t1)), np.max(np.abs(t2)),
+                        np.max(np.abs(t3)), 1.0)
+            worst_jacobi = max(worst_jacobi,
+                               float(np.max(np.abs(t1 + t2 + t3)) / scale))
     return worst_anti, worst_jacobi
+
+
+def unsigned_partial(fc, nf, gc, ng, i):
+    """operad._partial with its Koszul sign (-1)^(i (ng - 1)) undone."""
+    res = _partial(fc, nf, gc, ng, i)
+    return -res if (i * (ng - 1)) % 2 else res
 
 
 class TestBatchedSuite:
@@ -277,10 +291,11 @@ class TestBatchedSuite:
     def test_suite_equals_per_sample_loop(self, monkeypatch, seed,
                                           batch_bytes):
         """Any stacking budget (one sample per stack, the default, one
-        stack per dim and degrees) gives the per-sample residuals; each
-        stack holds one dim and degrees and keeps its Jacobi terms within
-        BATCH_BYTES unless it is one sample, and the stacks hold every
-        sample once."""
+        stack per dim and degrees) gives the per-sample residuals: exact
+        zeros, and with the Koszul sign dropped from _partial the same
+        nonzero Jacobi residual; each stack holds one dim and degrees and
+        keeps its Jacobi terms within BATCH_BYTES unless it is one sample,
+        and the stacks hold every sample once."""
         if batch_bytes is not None:
             monkeypatch.setattr(suites, "BATCH_BYTES", batch_bytes)
         monkeypatch.setattr(suites, "OPERAD_SAMPLES", 300)
@@ -293,9 +308,8 @@ class TestBatchedSuite:
         monkeypatch.setattr(suites, "graded_lie_residuals", recorded)
         cases = {c.case_id: c for c in suites.operad_suite(seed).cases}
         anti, jacobi = reference_operad_residuals(seed, 300)
-        assert cases["graded_antisymmetry"].residual == anti
-        assert cases["graded_jacobi_relative"].residual == jacobi
-        assert jacobi > 0.0
+        assert cases["graded_antisymmetry"].residual == anti == 0.0
+        assert cases["graded_jacobi_relative"].residual == jacobi == 0.0
 
         for shapes in stacks:
             (n, d), = {(shape[0], shape[1]) for shape in shapes}
@@ -304,6 +318,29 @@ class TestBatchedSuite:
             degree = sum(len(shape) - 2 for shape in shapes) - 2
             assert n == 1 or n * 8 * d ** (degree + 1) <= suites.BATCH_BYTES
         assert sum(shapes[0][0] for shapes in stacks) == 300
+
+        monkeypatch.setattr(operad, "_partial", unsigned_partial)
+        cases = {c.case_id: c for c in suites.operad_suite(seed).cases}
+        anti, jacobi = reference_operad_residuals(seed, 300)
+        assert cases["graded_antisymmetry"].residual == anti
+        assert cases["graded_jacobi_relative"].residual == jacobi > 0.0
+
+    def test_coefficients_are_small_integers(self, monkeypatch):
+        """Every coefficient the suite composes is an integer in [-3, 3],
+        held as a float64."""
+        stacks = []
+
+        def recorded(*operands):
+            stacks.extend(operands)
+            return graded_lie_residuals(*operands)
+
+        monkeypatch.setattr(suites, "graded_lie_residuals", recorded)
+        suites.operad_suite(42)
+        assert sum(len(stack) for stack in stacks) \
+            == 3 * suites.OPERAD_SAMPLES
+        assert {stack.dtype for stack in stacks} == {np.dtype(float)}
+        values = np.unique(np.concatenate([s.ravel() for s in stacks]))
+        assert values.tolist() == list(range(-3, 4))
 
     def test_suite_without_samples_fails(self, monkeypatch):
         """No sample checks nothing: every case of the suite fails."""
@@ -322,3 +359,11 @@ class TestBatchedSuite:
         cases = {c.case_id: c for c in suites.operad_suite(42).cases}
         assert not cases["graded_antisymmetry"].passed
         assert cases["graded_antisymmetry"].residual > 1.0
+
+    def test_unsigned_partial_fails_jacobi(self, monkeypatch):
+        """Partial compositions without the Koszul sign (-1)^(i |g|) break
+        the graded Jacobi identity."""
+        monkeypatch.setattr(operad, "_partial", unsigned_partial)
+        cases = {c.case_id: c for c in suites.operad_suite(42).cases}
+        assert not cases["graded_jacobi_relative"].passed
+        assert cases["graded_jacobi_relative"].residual >= 1.0
