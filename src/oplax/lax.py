@@ -130,6 +130,13 @@ def antisymmetric(values, zero=0) -> list | np.ndarray:
     return np.moveaxis(mu, (0, 1, 2), (-3, -2, -1)).copy() if stacks else mu
 
 
+def antisymmetry_break(m) -> tuple | None:
+    """The first (i, j, k) with m^i_jk != -m^i_kj, or None: the test is
+    symmetric in (j, k), so each pair j < k and diagonal j = k is run once."""
+    return next(((i, j, k) for i in range(3) for j in range(3)
+                 for k in range(j, 3) if m[i][j][k] != -m[i][k][j]), None)
+
+
 def mu_slots(C: OperadicParams, w, q, p, Q, P) -> tuple:
     """The nine independent components of mu, in SLOTS order, at the phase
     point (q, p, Q, P) of an oscillator with frequency w.
@@ -185,20 +192,13 @@ def solve_C(initial_mu, p0) -> OperadicParams:
     """
     if not p0 > 0:
         raise ValueError(f"p0 must be > 0, got {p0}")
-    m = initial_mu
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if m[i][j][k] != -m[i][k][j]:
-                    raise NotRepresentableError(
-                        f"mu^{i+1}_{{{j+1}{k+1}}} breaks antisymmetry; "
-                        "tensor is outside the operadic ansatz"
-                    )
-    if isinstance(p0, Fraction):
-        r = _exact_sqrt(2 * p0)
-    else:
-        r = math.sqrt(2 * p0)
-    return _params_of(m, p0, r)
+    if (broken := antisymmetry_break(initial_mu)) is not None:
+        i, j, k = broken
+        raise NotRepresentableError(
+            f"mu^{i+1}_{{{j+1}{k+1}}} breaks antisymmetry; "
+            "tensor is outside the operadic ansatz")
+    r = _exact_sqrt(2 * p0) if isinstance(p0, Fraction) else math.sqrt(2 * p0)
+    return _params_of(initial_mu, p0, r)
 
 
 def _params_of(m, p0, r) -> OperadicParams:

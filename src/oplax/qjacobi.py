@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 
 from .bianchi import BianchiType, _row_tensor, require_deformable
-from .lax import _params_of, antisymmetric, mu_slots
+from .lax import _params_of, antisymmetric, antisymmetry_break, mu_slots
 from .ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly, commutator,
                     quasi_ccr_table)
 
@@ -71,12 +71,6 @@ def omega_q_poly(table: CommutationTable) -> NCPoly:
                           ("Q", "P"): Fraction(1, 2)})
 
 
-def _a_factor(btype: BianchiType) -> CoeffPoly:
-    if btype is BianchiType.IIIA1:
-        return CoeffPoly.one()
-    return _sym("a")
-
-
 @functools.cache
 def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     """3x3x3 nested tuple of NCPoly operator structure constants, built
@@ -97,6 +91,10 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 
+_ORBITS = tuple(o for o in product(range(3), repeat=3)
+                if o == min(o, o[1:] + o[:1], o[2:] + o[:2]))
+
+
 def q_jacobiator(qsc, conv: str = "left") -> dict:
     """32 p0 times the Jacobiator tensor, J^i_abc = J(e_a, e_b, e_c)^i,
 
@@ -108,10 +106,12 @@ def q_jacobiator(qsc, conv: str = "left") -> dict:
     the three rotations of (a, b, c), so each of the 11 rotation orbits
     has one key, its smallest rotation.
 
-    The product is bilinear, so T is antisymmetric in (b, c) when mu is in
-    its lower indices: T^i_acb is then taken as -T^i_abc, not multiplied
-    out again.  Whether mu is antisymmetric is checked exactly on each
-    call; a mu that is not gets every T^i_abc multiplied out.
+    The product is bilinear, so for mu antisymmetric in its lower indices
+    T is antisymmetric in (b, c), and J alternates: on the nine orbits with
+    a repeated index J_xxy = T_xxy + T_xyx + T_yxx = T_xxy - T_xxy + 0 = 0,
+    and J_acb = -J_abc.  Only the orbit of (1, 2, 3) is then multiplied out
+    (18 operator products).  The check of mu is exact, and a mu that is not
+    antisymmetric gets all 11 orbits multiplied out.
 
     The tensor is built from 4r mu, whose coefficients are all integers (r
     absorbs the a/r entries); r^2 = 2 p0 never halves a coefficient, so its
@@ -121,28 +121,24 @@ def q_jacobiator(qsc, conv: str = "left") -> dict:
     if conv not in ("left", "right"):
         raise ValueError(f"unknown convention {conv!r}")
     zero = NCPoly.zero(qsc[0][0][1].table)
-    # q_structure's mu is always antisymmetric, but without this check a mu
-    # that is not would pass each jacobi_delta_divisible_* case by construction
-    skew = all(qsc[k][c][b] == -qsc[k][b][c]
-               for k, b, c in product(range(3), repeat=3))
     four_r = CoeffPoly.monomial(4, {"r": 1})
     mu = [[[m * four_r for m in row] for row in plane] for plane in qsc]
-    T = {}
-    for i, a, b, c in product(range(3), repeat=4):
-        if skew and b > c:
-            T[i, a, b, c] = -T[i, a, c, b]
-            continue
-        acc = zero
-        for k in range(3):
-            outer, inner = mu[i][a][k], mu[k][b][c]
-            if outer.is_zero or inner.is_zero:
-                continue
-            acc = acc + (outer * inner if conv == "left" else inner * outer)
-        T[i, a, b, c] = acc
-    return {(a, b, c): tuple(T[i, a, b, c] + T[i, b, c, a] + T[i, c, a, b]
-                             for i in range(3))
-            for a, b, c in product(range(3), repeat=3)
-            if (a, b, c) == min((a, b, c), (b, c, a), (c, a, b))}
+
+    def orbit(a, b, c):
+        """(J^1, J^2, J^3) on the orbit of (a, b, c): sum_k mu^i_xk mu^k_yz
+        over its rotations (x, y, z), zero factors skipped."""
+        pairs = [[(mu[i][x][k], mu[k][y][z])
+                  for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+                  for k in range(3)] for i in range(3)]
+        return tuple(sum((u * v if conv == "left" else v * u
+                          for u, v in row if u and v), zero) for row in pairs)
+
+    if antisymmetry_break(qsc) is not None:
+        return {key: orbit(*key) for key in _ORBITS}
+    J = dict.fromkeys(_ORBITS, (zero,) * 3)
+    J[0, 1, 2] = orbit(0, 1, 2)
+    J[0, 2, 1] = tuple(-j for j in J[0, 1, 2])
+    return J
 
 
 @functools.cache
@@ -183,7 +179,7 @@ def claimed_jacobi(btype: BianchiType, xi: tuple[NCPoly, NCPoly],
     arguments, the abstract symbol Delta or a value of it.
     """
     require_deformable(btype)
-    a = _a_factor(btype)
+    a = CoeffPoly.one() if btype is BianchiType.IIIA1 else _sym("a")
     xi1, xi2 = xi
     table = xi1.table
     coef = -(a * det * CoeffPoly.monomial(1, {"r": -1, "p0": -1}))
@@ -212,7 +208,9 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
     A trilinear J is D J(e1, e2, e3), D the determinant of its arguments,
     exactly when its tensor is alternating; J_abc is invariant under
     rotations, so that is J_acb = -J_abc on the orbit of (1, 2, 3) and
-    J = 0 on the nine orbits with a repeated index (delta_divisible).  A
+    J = 0 on the nine orbits with a repeated index (delta_divisible).  For
+    an antisymmetric mu the tensor alternates by construction, so only a mu
+    that is not, whose 11 orbits are all multiplied out, can fail it.  A
     divisible component is exact when J(e1, e2, e3) is the closed form at
     determinant 1.  Both sides are compared at q_jacobiator's scale 32 p0,
     on integers; a nonzero residual is reported as

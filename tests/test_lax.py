@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ class TestSolveC:
         mu[0][0][0] = 1
         with pytest.raises(NotRepresentableError):
             solve_C(mu, 1.0)
+
+    def test_names_first_broken_entry(self):
+        """A tensor broken at any one entry, transposed or not, is named by
+        the first of the 27 ordered entries that fails, as a full scan
+        finds: the smaller of the entry and its transpose."""
+        for i, j, k in product(range(3), repeat=3):
+            mu = antisymmetric(range(1, 10))
+            mu[i][j][k] += 1
+            first = next((a + 1, b + 1, c + 1)
+                         for a, b, c in product(range(3), repeat=3)
+                         if mu[a][b][c] != -mu[a][c][b])
+            assert first == (i + 1, min(j, k) + 1, max(j, k) + 1)
+            with pytest.raises(NotRepresentableError,
+                               match=r"^mu\^%d_\{%d%d\} breaks" % first):
+                solve_C(mu, 1.0)
 
     def test_rejects_bad_p0(self):
         mu = [[[0] * 3 for _ in range(3)] for _ in range(3)]

@@ -6,7 +6,7 @@ import pytest
 from oplax import qjacobi as qj
 from oplax.bianchi import BianchiType, UnsupportedLabelError
 from oplax.cli import main
-from oplax.lax import SLOTS
+from oplax.lax import SLOTS, antisymmetry_break
 from oplax.ncalg import CoeffPoly, NCPoly, commutator
 from oplax.suites import quantum_suite
 
@@ -177,6 +177,47 @@ class TestJacobiatorContraction:
                   for poly in value.terms.values()
                   for c in poly.terms.values()]
         assert coeffs and all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
+    def test_non_antisymmetric_mu_matches_nested_brackets(self, btype, conv,
+                                                          alphabet):
+        """A mu broken at one transposed entry (mu^1_21 = +mu^1_12) has
+        every orbit multiplied out, and each still equals the nested
+        brackets; the orbits with a repeated index are not all zero."""
+        table = qj.table_for(alphabet)
+        qsc = [[list(row) for row in plane]
+               for plane in qj.q_structure(btype, table)]
+        qsc[0][1][0] = -qsc[0][1][0]
+        assert antisymmetry_break(qsc) == (0, 0, 1)
+        e = unit_vectors(table)
+        scale = CoeffPoly.monomial(32, {"p0": 1})
+        J = qj.q_jacobiator(qsc, conv)
+        assert tuple(J) == ORBITS
+        for a, b, c in ORBITS:
+            assert J[a, b, c] == tuple(
+                comp * scale
+                for comp in nested_jacobiator(e[a], e[b], e[c], qsc, conv))
+        assert any(not comp.is_zero for orbit in ORBITS
+                   if len(set(orbit)) < 3 for comp in J[orbit])
+
+    @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
+    def test_eighteen_operator_products(self, monkeypatch, btype, conv,
+                                        alphabet):
+        """An antisymmetric mu has only the orbit of (1, 2, 3) multiplied
+        out: 3 components, 3 rotations, and the two k != x with
+        mu^i_xk mu^k_yz nonzero, 18 operator products per call."""
+        qsc = qj.q_structure(btype, qj.table_for(alphabet))
+        real = NCPoly.__mul__
+        products = 0
+
+        def counting(self, other):
+            nonlocal products
+            products += isinstance(other, NCPoly)
+            return real(self, other)
+
+        monkeypatch.setattr(NCPoly, "__mul__", counting)
+        qj.q_jacobiator(qsc, conv)
+        assert products == 18
 
 
 class TestDeterminant:
