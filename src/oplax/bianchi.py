@@ -3,17 +3,19 @@ deformations along the oscillator flow.
 
 The three-dimensional structure equations are parameterized as
 
-    [e1, e2] = -alpha e2 + n3 e3,  [e2, e3] = n1 e1,  [e3, e1] = n2 e2 + alpha e3.
+    [e1, e2] = -alpha e2 + n3 e3,  [e2, e3] = n1 e1,
+    [e3, e1] = n2 e2 + alpha e3.
 
 Deformations are produced two independent ways: through the 9-parameter
 operadic family (solve_C then build_mu along the trajectory) and through
 stored closed forms; the test suite asserts the two agree.  The quantum
 structure (qjacobi.q_structure) is the operadic family too, from the same
 rows over symbols, so the closed forms check it as well.  Type II
-(Heisenberg) is data-only: it has no deformation row.  StructureConstants,
+(Heisenberg) is data-only: it has no deformation row.  Structure tensors
+are numpy arrays of shape (..., 3, 3, 3): structure_constants,
 dynamical_deformation, deformation_closed_form and classical_jacobiator
-take stacks of samples and load numpy on first use; label_params (the
-CLI's deform table) does not.
+return or take stacks of them and load numpy on first use; label_params
+(the CLI's deform table) does not.
 """
 
 from __future__ import annotations
@@ -66,21 +68,6 @@ class BianchiLabel(namedtuple("BianchiLabel", "type a")):
         return 1 if self.type is BianchiType.IIIA1 else self.a
 
 
-class StructureConstants(namedtuple("StructureConstants", "array")):
-    """3x3x3 tensor mu^i_{jk}, antisymmetric in (j, k) (or a stack)."""
-
-    __slots__ = ()
-
-    def __new__(cls, array: np.ndarray):
-        arr = np.asarray(array)
-        if arr.shape[-3:] != (3, 3, 3):
-            raise ValueError(f"expected shape (..., 3, 3, 3), got {arr.shape}")
-        return super().__new__(cls, arr)
-
-    # _replace builds through _make, which skips __new__: validate there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-
 # (alpha, n1, n2, n3) with a the family parameter where applicable
 _PARAMS = {
     BianchiType.II: (0, 1, 0, 0),
@@ -104,9 +91,9 @@ def _row_tensor(btype: BianchiType, a) -> list:
     return mu
 
 
-def structure_constants(label: BianchiLabel) -> StructureConstants:
+def structure_constants(label: BianchiLabel) -> np.ndarray:
     """The structure tensor of the given Bianchi type at t = 0."""
-    return StructureConstants(np.array(_row_tensor(*label)))
+    return np.array(_row_tensor(*label))
 
 
 DEFORMABLE = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
@@ -127,16 +114,16 @@ def label_params(label: BianchiLabel, p0) -> OperadicParams:
 
 
 def dynamical_deformation(C: OperadicParams, params: HOParams,
-                          t) -> StructureConstants:
+                          t) -> np.ndarray:
     """Deformed structure tensor at time t, generated via the operadic
     family from C, such as label_params(label, params.p0) of a Bianchi row
     (a stack of them for a stack of times)."""
     mu = build_mu(C, params, phase_points(params, t))
-    return StructureConstants(mu.reshape(np.shape(t) + (3, 3, 3)))
+    return mu.reshape(np.shape(t) + (3, 3, 3))
 
 
 def deformation_closed_form(label: BianchiLabel, params: HOParams,
-                            t) -> StructureConstants:
+                            t) -> np.ndarray:
     """Deformed structure tensor from the stored closed forms (independent
     of the operadic generation path)."""
     require_deformable(label.type)
@@ -146,7 +133,7 @@ def deformation_closed_form(label: BianchiLabel, params: HOParams,
     p0 = params.p0
     root = np.sqrt(2 * p0)
     w = params.omega
-    return StructureConstants(antisymmetric((
+    return antisymmetric((
         a * pt.Q / root,             # mu^1_12
         -a * pt.P / root,            # mu^2_12
         float(n3),                   # mu^3_12
@@ -156,13 +143,13 @@ def deformation_closed_form(label: BianchiLabel, params: HOParams,
         -w * pt.q / (2 * p0),        # mu^1_31
         (pt.p + p0) / (2 * p0),      # mu^2_31
         a * pt.P / root,             # mu^3_31
-    )).reshape(np.shape(t) + (3, 3, 3)))
+    )).reshape(np.shape(t) + (3, 3, 3))
 
 
-def classical_jacobiator(sc: StructureConstants, x, y, z) -> np.ndarray:
+def classical_jacobiator(mu: np.ndarray, x, y, z) -> np.ndarray:
     """J^i = mu^i_{js} x^j mu^s_{kl} y^k z^l + cyclic permutations of x,y,z
     (per sample for a stack, x, y and z then one vector each)."""
-    m = np.asarray(sc.array, dtype=float)
+    m = np.asarray(mu, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)

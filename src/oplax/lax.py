@@ -24,9 +24,9 @@ build_M, build_L, phase_points and the verify_* routines load it on first
 use.  On arrays (phase_points, C with array fields) the same arithmetic
 gives a stack of samples; the verify_* routines take a 1-D stack of times
 (a scalar is a stack of one) and return each sample's residual bitwise as
-alone: a float for a scalar time, an array for a stack.  They judge nothing: the suite
-case that reads a residual states its tolerance.  Their finite differences
-are central, with the one step FD_STEP.
+alone: a float for a scalar time, an array for a stack.  They judge
+nothing: the suite case that reads a residual states its tolerance.  Their
+finite differences are central, with the one step FD_STEP.
 """
 
 from __future__ import annotations

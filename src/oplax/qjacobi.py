@@ -16,10 +16,18 @@ inner bracket of a nested Jacobiator is operator-valued, the placement of
 the structure constant against it matters, so both "left" and "right"
 conventions are implemented and compared against the claimed closed forms.
 
-The Jacobiator is checked on its tensor J^i_abc (q_jacobiator).  On
-vectors with central (scalar) components it is the contraction
-sum_abc x^a y^b z^c J^i_abc, which is the determinant D of the three
-vectors times J(e1, e2, e3) exactly when the tensor is alternating.
+The Jacobiator is trilinear: on vectors with central (scalar) components
+it is the contraction sum_abc x^a y^b z^c J^i_abc of its tensor
+
+    J^i_abc = J(e_a, e_b, e_c)^i = T^i_abc + T^i_bca + T^i_cab,
+    T^i_abc = [e_a, [e_b, e_c]]^i = sum_k mu^i_ak mu^k_bc
+
+(mu^k_bc mu^i_ak in the right convention).  The product is bilinear, so
+for mu antisymmetric in its lower indices T is antisymmetric in (b, c) and
+J alternates: J_xxy = T_xxy + T_xyx + T_yxx = T_xxy - T_xxy + 0 = 0 and
+J_acb = -J_abc.  The contraction is then D J(e1, e2, e3), D the
+determinant of the three vectors: the theorem is read from J(e1, e2, e3)
+(q_jacobiator) and the exact antisymmetry of mu.
 
 Scalars sqrt(2H) and omega/(2 sqrt(2H)) are the central symbols h and eps;
 sqrt(2 p0) is the radical r with r^2 = 2 p0.
@@ -31,7 +39,6 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
 
 from .bianchi import BianchiType, _row_tensor, require_deformable
 from .lax import _params_of, antisymmetric, antisymmetry_break, mu_slots
@@ -91,31 +98,19 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 
-_ORBITS = tuple(o for o in product(range(3), repeat=3)
-                if o == min(o, o[1:] + o[:1], o[2:] + o[:2]))
+def q_jacobiator(qsc, conv: str = "left") -> tuple:
+    """32 p0 times J(e1, e2, e3), the Jacobiator of the basis vectors, as
+    its components (J^1, J^2, J^3):
 
+        J^i = sum_k (mu^i_1k mu^k_23 + mu^i_2k mu^k_31 + mu^i_3k mu^k_12)
 
-def q_jacobiator(qsc, conv: str = "left") -> dict:
-    """32 p0 times the Jacobiator tensor, J^i_abc = J(e_a, e_b, e_c)^i,
+    in the left convention, and with each product reversed,
+    mu^k_yz mu^i_xk, in the right one; products with a zero factor are
+    skipped (18 operator products for an antisymmetric mu).
 
-        J^i_abc = T^i_abc + T^i_bca + T^i_cab,
-        T^i_abc = sum_k mu^i_ak mu^k_bc      (left convention),
-        T^i_abc = sum_k mu^k_bc mu^i_ak      (right convention),
-
-    as {(a, b, c): (J^1, J^2, J^3)} over 0-based indices: J is the same on
-    the three rotations of (a, b, c), so each of the 11 rotation orbits
-    has one key, its smallest rotation.
-
-    The product is bilinear, so for mu antisymmetric in its lower indices
-    T is antisymmetric in (b, c), and J alternates: on the nine orbits with
-    a repeated index J_xxy = T_xxy + T_xyx + T_yxx = T_xxy - T_xxy + 0 = 0,
-    and J_acb = -J_abc.  Only the orbit of (1, 2, 3) is then multiplied out
-    (18 operator products).  The check of mu is exact, and a mu that is not
-    antisymmetric gets all 11 orbits multiplied out.
-
-    The tensor is built from 4r mu, whose coefficients are all integers (r
-    absorbs the a/r entries); r^2 = 2 p0 never halves a coefficient, so its
-    products run on Python ints.  It gives 32 p0 J, since (4r)^2 = 32 p0;
+    It is built from 4r mu, whose coefficients are all integers (r absorbs
+    the a/r entries); r^2 = 2 p0 never halves a coefficient, so its
+    products run on Python ints.  That gives 32 p0 J, since (4r)^2 = 32 p0;
     the caller divides by 32 p0 where it needs J itself.
     """
     if conv not in ("left", "right"):
@@ -123,22 +118,11 @@ def q_jacobiator(qsc, conv: str = "left") -> dict:
     zero = NCPoly.zero(qsc[0][0][1].table)
     four_r = CoeffPoly.monomial(4, {"r": 1})
     mu = [[[m * four_r for m in row] for row in plane] for plane in qsc]
-
-    def orbit(a, b, c):
-        """(J^1, J^2, J^3) on the orbit of (a, b, c): sum_k mu^i_xk mu^k_yz
-        over its rotations (x, y, z), zero factors skipped."""
-        pairs = [[(mu[i][x][k], mu[k][y][z])
-                  for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
-                  for k in range(3)] for i in range(3)]
-        return tuple(sum((u * v if conv == "left" else v * u
-                          for u, v in row if u and v), zero) for row in pairs)
-
-    if antisymmetry_break(qsc) is not None:
-        return {key: orbit(*key) for key in _ORBITS}
-    J = dict.fromkeys(_ORBITS, (zero,) * 3)
-    J[0, 1, 2] = orbit(0, 1, 2)
-    J[0, 2, 1] = tuple(-j for j in J[0, 1, 2])
-    return J
+    pairs = [[(mu[i][x][k], mu[k][y][z])
+              for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+              for k in range(3)] for i in range(3)]
+    return tuple(sum((u * v if conv == "left" else v * u
+                      for u, v in row if u and v), zero) for row in pairs)
 
 
 @functools.cache
@@ -205,27 +189,23 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
     """Compare the Jacobiator with claimed_jacobi per component, as an
     exact identity for all central coordinates.
 
-    A trilinear J is D J(e1, e2, e3), D the determinant of its arguments,
-    exactly when its tensor is alternating; J_abc is invariant under
-    rotations, so that is J_acb = -J_abc on the orbit of (1, 2, 3) and
-    J = 0 on the nine orbits with a repeated index (delta_divisible).  For
-    an antisymmetric mu the tensor alternates by construction, so only a mu
-    that is not, whose 11 orbits are all multiplied out, can fail it.  A
-    divisible component is exact when J(e1, e2, e3) is the closed form at
-    determinant 1.  Both sides are compared at q_jacobiator's scale 32 p0,
-    on integers; a nonzero residual is reported as
-    (J(e1, e2, e3) - closed form) D / (32 p0), D being det_poly.
+    The Jacobiator is D J(e1, e2, e3) when mu is antisymmetric (see the
+    module docstring), and antisymmetry is checked exactly: that verdict is
+    delta_divisible, the same for each component.  A divisible component
+    is exact when J(e1, e2, e3) is the closed form at determinant 1.  Both
+    sides are compared at q_jacobiator's scale 32 p0, on integers; a
+    nonzero residual is reported as (J(e1, e2, e3) - closed form) D /
+    (32 p0), D being det_poly.
     """
     table = table_for(alphabet)
-    J = q_jacobiator(q_structure(btype, table), conv)
+    qsc = q_structure(btype, table)
+    J = q_jacobiator(qsc, conv)
     # the closed form is linear in the determinant: 32 p0 times it at 1
     expected = claimed_jacobi(btype, xi_polys(table),
                               CoeffPoly.monomial(32, {"p0": 1}))
     per_scale = det_poly() * CoeffPoly.monomial(Fraction(1, 32), {"p0": -1})
-    divisible = tuple(J[0, 2, 1][i] == -J[0, 1, 2][i] and all(
-        comps[i].is_zero for orbit, comps in J.items() if len(set(orbit)) < 3)
-        for i in range(3))
-    res = [j - exp for j, exp in zip(J[0, 1, 2], expected)]
+    divisible = (antisymmetry_break(qsc) is None,) * 3
+    res = [j - exp for j, exp in zip(J, expected)]
     return TheoremReport(
         exact=tuple(d and r.is_zero for d, r in zip(divisible, res)),
         residuals=tuple(r if r.is_zero else r * per_scale for r in res),

@@ -227,8 +227,8 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
 
     def closed_form_gap(label):
         return lambda t: np.abs(
-            dynamical_deformation(rows[label], params, t).array
-            - deformation_closed_form(label, params, t).array
+            dynamical_deformation(rows[label], params, t)
+            - deformation_closed_form(label, params, t)
         ).max(axis=(1, 2, 3))
 
     times = np.linspace(0.0, 4 * np.pi / params.omega, T_SAMPLES)
@@ -242,7 +242,7 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
     # exact
     rows_exact = [structure_constants(BianchiLabel(
         label.type, None if label.a is None else Fraction(label.a)))
-        .array.tolist() for label in _DEFORM_LABELS]
+        .tolist() for label in _DEFORM_LABELS]
     shape = (len(_EXACT_P0), 25, len(SLOTS))
     nums = rng.integers(-8, 9, size=shape).tolist()
     dens = rng.integers(1, 5, size=shape).tolist()
@@ -276,8 +276,7 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
     # antisymmetry of every generated tensor
     ok = True
     for C in rows.values():
-        arr = dynamical_deformation(C, params,
-                                    rng.uniform(0.0, 12.0, size=10)).array
+        arr = dynamical_deformation(C, params, rng.uniform(0.0, 12.0, size=10))
         ok &= bool(np.all(arr == -np.swapaxes(arr, -1, -2)))
     rep.add("antisymmetry", ok)
 
@@ -391,6 +390,7 @@ def _spectrum_delta(beta_sq: CoeffPoly | None, n: int) -> float | None:
     except ValueError:
         return None
     return math.sqrt(1 / k) if k > 0 else None
+
 
 ALL_SUITES = {
     "operad": operad_suite,

@@ -6,10 +6,10 @@ import pytest
 
 from oplax import bianchi, lax, suites
 from oplax import qjacobi as qj
-from oplax.bianchi import (BianchiLabel, BianchiType, StructureConstants,
-                           UnsupportedLabelError, classical_jacobiator,
-                           deformation_closed_form, dynamical_deformation,
-                           label_params, structure_constants)
+from oplax.bianchi import (BianchiLabel, BianchiType, UnsupportedLabelError,
+                           classical_jacobiator, deformation_closed_form,
+                           dynamical_deformation, label_params,
+                           structure_constants)
 from oplax.cli import main
 from oplax.lax import _exact_sqrt, build_mu, solve_C
 from oplax.oscillator import HOParams, PhasePoint, trajectory
@@ -52,35 +52,31 @@ class TestLabel:
 
 
 class TestStructureConstants:
-    def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            StructureConstants(np.zeros((3, 3)))
-
     def test_component_is_one_based(self):
         sc = structure_constants(BianchiLabel(BianchiType.II))
         # Heisenberg: [e2, e3] = e1 only, so mu^1_23 = 1 sits at [0, 1, 2]
-        assert sc.array[..., 0, 1, 2] == 1
-        assert sc.array[..., 0, 2, 1] == -1
-        assert np.count_nonzero(sc.array) == 2
+        assert sc[..., 0, 1, 2] == 1
+        assert sc[..., 0, 2, 1] == -1
+        assert np.count_nonzero(sc) == 2
 
     @pytest.mark.parametrize("label", DEFORMABLE)
     def test_antisymmetry(self, label):
-        arr = structure_constants(label).array
+        arr = structure_constants(label)
         assert np.array_equal(arr, -np.swapaxes(arr, 1, 2))
 
     def test_viia_rows(self):
         sc = structure_constants(BianchiLabel(BianchiType.VIIA, 0.7))
         # [e1,e2] = -a e2 + e3, [e2,e3] = 0, [e3,e1] = e2 + a e3
-        assert sc.array[..., 1, 0, 1] == -0.7
-        assert sc.array[..., 2, 0, 1] == 1
-        assert sc.array[..., 0, 1, 2] == 0
-        assert sc.array[..., 1, 2, 0] == 1
-        assert sc.array[..., 2, 2, 0] == 0.7
+        assert sc[..., 1, 0, 1] == -0.7
+        assert sc[..., 2, 0, 1] == 1
+        assert sc[..., 0, 1, 2] == 0
+        assert sc[..., 1, 2, 0] == 1
+        assert sc[..., 2, 2, 0] == 0.7
 
     def test_via_vs_iiia1(self):
         # III_{a=1} is VI_a continued to a = 1
-        via = structure_constants(BianchiLabel(BianchiType.VIA, 2.0)).array
-        iii = structure_constants(BianchiLabel(BianchiType.IIIA1)).array
+        via = structure_constants(BianchiLabel(BianchiType.VIA, 2.0))
+        iii = structure_constants(BianchiLabel(BianchiType.IIIA1))
         via_at_1 = np.where(np.abs(via) == 2.0, np.sign(via), via)
         assert np.array_equal(via_at_1, iii)
 
@@ -101,7 +97,7 @@ class TestDeformations:
         """label_params builds no array, yet solves the tensor that
         structure_constants holds: the same types, signed zeros included."""
         for p0 in (0.9, Fraction(9, 8)):
-            expected = solve_C(structure_constants(label).array.tolist(), p0)
+            expected = solve_C(structure_constants(label).tolist(), p0)
             assert repr(label_params(label, p0)) == repr(expected)
 
     @pytest.mark.parametrize("label", [
@@ -118,10 +114,10 @@ class TestDeformations:
     @pytest.mark.parametrize("label", DEFORMABLE)
     def test_initial_value(self, label):
         params = HOParams(omega=1.3, p0=0.9)
-        sc0 = structure_constants(label).array.astype(float)
+        sc0 = structure_constants(label).astype(float)
         C = label_params(label, params.p0)
-        gen = dynamical_deformation(C, params, 0.0).array
-        closed = deformation_closed_form(label, params, 0.0).array
+        gen = dynamical_deformation(C, params, 0.0)
+        closed = deformation_closed_form(label, params, 0.0)
         assert np.allclose(gen, sc0, atol=1e-12)
         assert np.allclose(closed, sc0, atol=1e-12)
 
@@ -131,9 +127,8 @@ class TestDeformations:
             params = HOParams(omega=w, p0=p0)
             C = label_params(label, p0)
             for t in np.linspace(0.0, 4 * math.pi / w, 50):
-                gen = dynamical_deformation(C, params, float(t)).array
-                closed = deformation_closed_form(label, params,
-                                                 float(t)).array
+                gen = dynamical_deformation(C, params, float(t))
+                closed = deformation_closed_form(label, params, float(t))
                 assert np.max(np.abs(gen - closed)) <= 1e-12
 
     @pytest.mark.parametrize("label", DEFORMABLE)
@@ -142,8 +137,8 @@ class TestDeformations:
         period = 4 * math.pi / params.omega  # Q, P have half the q,p frequency
         C = label_params(label, params.p0)
         for t in (0.0, 0.7, 2.1):
-            d0 = dynamical_deformation(C, params, t).array
-            d1 = dynamical_deformation(C, params, t + period).array
+            d0 = dynamical_deformation(C, params, t)
+            d1 = dynamical_deformation(C, params, t + period)
             assert np.allclose(d0, d1, atol=1e-9)
 
     @pytest.mark.parametrize("p0", [Fraction(1, 2), Fraction(2),
@@ -156,7 +151,7 @@ class TestDeformations:
         for label in (BianchiLabel(BianchiType.VIIA, Fraction(3, 4)),
                       BianchiLabel(BianchiType.IIIA1),
                       BianchiLabel(BianchiType.VIA, Fraction(5, 2))):
-            sc = structure_constants(label).array.tolist()
+            sc = structure_constants(label).tolist()
             C = solve_C(sc, p0)
             assert build_mu(C, ho, pt) == sc
 
@@ -214,10 +209,10 @@ class TestStacked:
         params = HOParams(omega=1.3, p0=0.9)
         t = rng.uniform(0.0, 12.0, size=batch)
         stacked = _chunked(
-            lambda t: deformation_closed_form(label, params, t).array, t)
+            lambda t: deformation_closed_form(label, params, t), t)
         assert stacked.shape == (batch, 3, 3, 3)
         for ti, arr in zip(t, stacked):
-            alone = deformation_closed_form(label, params, float(ti)).array
+            alone = deformation_closed_form(label, params, float(ti))
             assert alone.shape == (3, 3, 3)
             assert np.array_equal(arr, alone), ti
 
@@ -231,10 +226,10 @@ class TestStacked:
         C = label_params(label, params.p0)
         t = rng.uniform(0.0, 12.0, size=batch)
         stacked = _chunked(
-            lambda t: dynamical_deformation(C, params, t).array, t)
+            lambda t: dynamical_deformation(C, params, t), t)
         assert stacked.shape == (batch, 3, 3, 3)
         for ti, arr in zip(t, stacked):
-            alone = dynamical_deformation(C, params, float(ti)).array
+            alone = dynamical_deformation(C, params, float(ti))
             assert alone.shape == (3, 3, 3)
             assert np.array_equal(arr, alone), ti
             reference = build_mu(C, params, trajectory(params, float(ti)))
@@ -255,9 +250,8 @@ class TestStacked:
 
         stacked = _chunked(jacobiator, t, x, y, z)
         for b in range(batch):
-            m = dynamical_deformation(C, params, float(t[b])).array
-            alone = classical_jacobiator(StructureConstants(m), x[b], y[b],
-                                         z[b])
+            m = dynamical_deformation(C, params, float(t[b]))
+            alone = classical_jacobiator(m, x[b], y[b], z[b])
             # the contraction of one sample, without batch axes
             reference = np.zeros(3)
             for u, v, w in ((x[b], y[b], z[b]), (y[b], z[b], x[b]),
@@ -295,11 +289,11 @@ class TestBianchiSuiteGates:
         real = suites.deformation_closed_form
 
         def flipped(label, params, t):
-            arr = real(label, params, t).array.copy()
+            arr = real(label, params, t).copy()
             # mu^2_12 = -a P / sqrt(2 p0) with its sign flipped
             arr[..., 1, 0, 1] *= -1
             arr[..., 1, 1, 0] *= -1
-            return StructureConstants(arr)
+            return arr
 
         monkeypatch.setattr(suites, "deformation_closed_form", flipped)
         cases = {c.case_id: c.passed for c in bianchi_suite().cases}

@@ -327,6 +327,26 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--target", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", (42, 1, 7, 1000, 2000))
+    def test_quantum_json_matches_golden(self, capsys, seed):
+        """The quantum report holds no BLAS result (exact algebra, and
+        math.sqrt in spectrum_determinant), so its line of each verify
+        golden file, the fourth, holds on every platform."""
+        code, out, _ = run_cli(capsys, "verify", "--target", "quantum",
+                               "--format", "json", "--seed", str(seed))
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / f"verify-{seed}.json"
+        assert out == golden.read_text().splitlines(keepends=True)[3]
+
+    def test_quantum_text_matches_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--target", "quantum",
+                               "--seed", "42")
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / "verify-42.txt"
+        assert out == "".join(
+            line for line in golden.read_text().splitlines(keepends=True)
+            if line.startswith("suite=quantum "))
+
 
 class TestTrajectory:
     def test_csv_shape_and_energy(self, capsys):
@@ -407,7 +427,7 @@ class TestDeform:
         params = HOParams.from_energy(omega, energy)
         for row in rows:
             t = float(row[0])
-            closed = deformation_closed_form(bianchi, params, t).array
+            closed = deformation_closed_form(bianchi, params, t)
             for value, (i, j, k) in zip(row[5:], SLOTS, strict=True):
                 assert float(value) == pytest.approx(closed[i, j, k],
                                                      abs=1e-12)

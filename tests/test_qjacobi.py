@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -101,6 +102,27 @@ def unit_vectors(table):
 ORBITS = ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 1, 2), (0, 2, 1),
           (0, 2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
 
+CONFIGS = tuple((btype, conv, alphabet) for btype in LABELS
+                for conv in ("left", "right") for alphabet in ("PQ", "qpPQ"))
+
+
+def nested_jacobiator(x, y, z, qsc, conv):
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] from nested q_bracket calls."""
+    total = None
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        term = q_bracket(u, q_bracket(v, w, qsc, conv), qsc, conv)
+        total = term if total is None else tuple(
+            a + b for a, b in zip(total, term))
+    return total
+
+
+def scaled_nested_e123(qsc, conv, table) -> tuple:
+    """32 p0 times the nested-bracket Jacobiator of e1, e2, e3: the scale of
+    q_jacobiator."""
+    scale = CoeffPoly.monomial(32, {"p0": 1})
+    return tuple(comp * scale for comp in
+                 nested_jacobiator(*unit_vectors(table), qsc, conv))
+
 
 class TestBracketAndJacobiator:
     def test_convention_domain(self):
@@ -117,50 +139,35 @@ class TestBracketAndJacobiator:
                                 q_bracket(e[b], e[a], qsc)):
                     assert u == -v
 
-    def test_jacobiator_vanishes_on_repeated_arguments(self):
-        """The tensor is alternating in both conventions: zero on every
+    @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
+    def test_jacobiator_vanishes_on_repeated_arguments(self, btype, conv,
+                                                       alphabet):
+        """The divisibility verdict rests on alternation, which the nested
+        brackets of q_structure's mu show on all 11 orbits: zero on every
         orbit with a repeated index, and odd under the transposition of
         (1, 2, 3)."""
-        for conv in ("left", "right"):
-            J = qj.q_jacobiator(qj.q_structure(BianchiType.VIIA), conv)
-            assert tuple(J) == ORBITS
-            for orbit, comps in J.items():
-                if len(set(orbit)) < 3:
-                    assert all(c.is_zero for c in comps), (conv, orbit)
-            for u, v in zip(J[0, 2, 1], J[0, 1, 2]):
-                assert not v.is_zero and u == -v
-
-
-CONFIGS = tuple((btype, conv, alphabet) for btype in LABELS
-                for conv in ("left", "right") for alphabet in ("PQ", "qpPQ"))
-
-
-def nested_jacobiator(x, y, z, qsc, conv):
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] from nested q_bracket calls."""
-    total = None
-    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        term = q_bracket(u, q_bracket(v, w, qsc, conv), qsc, conv)
-        total = term if total is None else tuple(
-            a + b for a, b in zip(total, term))
-    return total
+        table = qj.table_for(alphabet)
+        qsc = qj.q_structure(btype, table)
+        e = unit_vectors(table)
+        J = {abc: nested_jacobiator(*(e[i] for i in abc), qsc, conv)
+             for abc in ORBITS}
+        for orbit, comps in J.items():
+            if len(set(orbit)) < 3:
+                assert all(c.is_zero for c in comps), orbit
+        for u, v in zip(J[0, 2, 1], J[0, 1, 2]):
+            assert not v.is_zero and u == -v
 
 
 class TestJacobiatorContraction:
-    """Each entry of the tensor equals the nested brackets of the basis
-    vectors it stands for, at its scale 32 p0."""
+    """J(e1, e2, e3) equals the nested brackets of the basis vectors, at
+    its scale 32 p0."""
 
     @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
     def test_matches_nested_brackets(self, btype, conv, alphabet):
         table = qj.table_for(alphabet)
         qsc = qj.q_structure(btype, table)
-        e = unit_vectors(table)
-        scale = CoeffPoly.monomial(32, {"p0": 1})
-        J = qj.q_jacobiator(qsc, conv)
-        assert tuple(J) == ORBITS
-        for a, b, c in ORBITS:
-            assert J[a, b, c] == tuple(
-                comp * scale
-                for comp in nested_jacobiator(e[a], e[b], e[c], qsc, conv))
+        assert qj.q_jacobiator(qsc, conv) == scaled_nested_e123(qsc, conv,
+                                                                table)
 
     @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
     def test_scaled_contraction_is_integral(self, btype, conv, alphabet):
@@ -171,8 +178,7 @@ class TestJacobiatorContraction:
         qsc = qj.q_structure(btype, table)
         four_r = CoeffPoly.monomial(4, {"r": 1})
         scaled_mu = [m * four_r for plane in qsc for row in plane for m in row]
-        scaled_J = [c for comps in qj.q_jacobiator(qsc, conv).values()
-                    for c in comps]
+        scaled_J = list(qj.q_jacobiator(qsc, conv))
         coeffs = [c for value in scaled_mu + scaled_J
                   for poly in value.terms.values()
                   for c in poly.terms.values()]
@@ -181,31 +187,28 @@ class TestJacobiatorContraction:
     @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
     def test_non_antisymmetric_mu_matches_nested_brackets(self, btype, conv,
                                                           alphabet):
-        """A mu broken at one transposed entry (mu^1_21 = +mu^1_12) has
-        every orbit multiplied out, and each still equals the nested
-        brackets; the orbits with a repeated index are not all zero."""
+        """A mu broken at one transposed entry (mu^1_21 = +mu^1_12) goes
+        through the same products, and J(e1, e2, e3) still equals the
+        nested brackets; those no longer alternate, as an orbit with a
+        repeated index shows."""
         table = qj.table_for(alphabet)
         qsc = [[list(row) for row in plane]
                for plane in qj.q_structure(btype, table)]
         qsc[0][1][0] = -qsc[0][1][0]
         assert antisymmetry_break(qsc) == (0, 0, 1)
+        assert qj.q_jacobiator(qsc, conv) == scaled_nested_e123(qsc, conv,
+                                                                table)
         e = unit_vectors(table)
-        scale = CoeffPoly.monomial(32, {"p0": 1})
-        J = qj.q_jacobiator(qsc, conv)
-        assert tuple(J) == ORBITS
-        for a, b, c in ORBITS:
-            assert J[a, b, c] == tuple(
-                comp * scale
-                for comp in nested_jacobiator(e[a], e[b], e[c], qsc, conv))
-        assert any(not comp.is_zero for orbit in ORBITS
-                   if len(set(orbit)) < 3 for comp in J[orbit])
+        assert any(not c.is_zero for abc in ORBITS if len(set(abc)) < 3
+                   for c in nested_jacobiator(*(e[i] for i in abc), qsc,
+                                              conv))
 
     @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
     def test_eighteen_operator_products(self, monkeypatch, btype, conv,
                                         alphabet):
-        """An antisymmetric mu has only the orbit of (1, 2, 3) multiplied
-        out: 3 components, 3 rotations, and the two k != x with
-        mu^i_xk mu^k_yz nonzero, 18 operator products per call."""
+        """J(e1, e2, e3) of an antisymmetric mu: 3 components, 3 rotations,
+        and the two k != x with mu^i_xk mu^k_yz nonzero, 18 operator
+        products per call."""
         qsc = qj.q_structure(btype, qj.table_for(alphabet))
         real = NCPoly.__mul__
         products = 0
@@ -435,33 +438,43 @@ class TestQuantumSuiteGates:
         assert len(delta) == 4 * len(LABELS)
         return delta
 
-    @pytest.mark.parametrize("broken", ("transposition_kept",
-                                        "repeated_orbit_nonzero"))
-    def test_unalternating_tensor_fails_divisibility(self, monkeypatch,
-                                                     broken):
-        """A tensor that is not alternating is D times no quotient: with
-        J_acb = +J_abc on the orbit of (1, 2, 3), or with a nonzero entry
-        on the orbit of (1, 1, 2), every divisibility case fails."""
-        real = qj.q_jacobiator
+    @staticmethod
+    def broken_structure(entry):
+        """q_structure with the scalar 1 added to mu at one 0-based entry,
+        which breaks its antisymmetry."""
+        real = qj.q_structure
 
-        def fake(qsc, conv):
-            J = real(qsc, conv)
-            if broken == "transposition_kept":
-                J[0, 2, 1] = J[0, 1, 2]
-            else:
-                one = NCPoly.scalar(J[0, 0, 1][0].table, 1)
-                J[0, 0, 1] = tuple(c + one for c in J[0, 0, 1])
-            return J
+        def broken(btype, table=qj.PQ_TABLE):
+            mu = [[list(row) for row in plane]
+                  for plane in real(btype, table)]
+            i, j, k = entry
+            mu[i][j][k] = mu[i][j][k] + NCPoly.scalar(table, 1)
+            return mu
 
-        monkeypatch.setattr(qj, "q_jacobiator", fake)
+        return broken
+
+    def test_broken_mu_fails_divisibility(self, monkeypatch):
+        """A mu that is not antisymmetric has no alternating Jacobiator to
+        divide by D: broken at any one of its 27 entries, no component is
+        divisible and none certifies.  Broken at one entry, every
+        divisibility case of the suite and the machine check fail."""
+        for entry in product(range(3), repeat=3):
+            with monkeypatch.context() as m:
+                m.setattr(qj, "q_structure", self.broken_structure(entry))
+                rep = qj.verify_theorem_q(BianchiType.VIIA, "left", "PQ")
+            assert rep.delta_divisible == (False,) * 3, entry
+            assert not rep.all_exact, entry
+        monkeypatch.setattr(qj, "q_structure",
+                            self.broken_structure((0, 1, 2)))
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
+        assert not cases["jacobi_theorem_machine_check"]
         assert not any(cases[k] for k in self.delta_cases(cases))
 
     def test_symmetric_structure_fails_theorem(self, monkeypatch, request):
-        """A mu with +value at the transposed slots: the Jacobiator is
-        multiplied out in full, and neither the closed form nor the
-        divisibility by D holds.  q_structure is cached, so the cache is
-        emptied before the mutation and again after it."""
+        """A mu with +value at the transposed slots is not antisymmetric:
+        neither the closed form nor the divisibility by D holds.
+        q_structure is cached, so the cache is emptied before the mutation
+        and again after it."""
         def symmetric(values, zero=0):
             mu = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
             for (i, j, k), value in zip(SLOTS, values, strict=True):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oplax.bianchi import BianchiLabel, BianchiType, StructureConstants
+from oplax.bianchi import BianchiLabel, BianchiType
 from oplax.lax import OperadicParams
 from oplax.operad import InvalidOperationError, MultiOp
 from oplax.oscillator import HOParams, PhasePoint
@@ -20,7 +20,6 @@ RECORDS = (
     (PhasePoint, {"t": 0.0, "q": 0.0, "p": 1.0, "Q": 0.0, "P": 1.25,
                   "H": 0.5}),
     (BianchiLabel, {"type": BianchiType.VIA, "a": 2.5}),
-    (StructureConstants, {"array": np.zeros((3, 3, 3))}),
     (OperadicParams, {f"c{i}": float(i) for i in range(1, 10)}),
     (MultiOp, {"degree": 1, "dim": 2, "coeffs": np.eye(2)}),
     (TheoremReport, {"exact": (True, True, False), "residuals": (0, 0, 1),
@@ -78,8 +77,6 @@ INVALID = (
     (MultiOp(1, 2, np.eye(2)), {"degree": 0}, InvalidOperationError),
     (MultiOp(1, 2, np.eye(2)), {"coeffs": np.zeros((2, 2, 2))},
      InvalidOperationError),
-    (StructureConstants(np.zeros((3, 3, 3))), {"array": np.zeros((3, 3))},
-     ValueError),
     (MultiOp(1, 2, np.eye(2)), {"dim": 0}, InvalidOperationError),
 )
 
