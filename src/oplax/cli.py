@@ -177,14 +177,6 @@ def _times(args, params: HOParams):
     return (t0 + span * i / steps for i in range(steps + 1))
 
 
-def _flow_amplitudes(params: HOParams) -> tuple:
-    """(p0/omega, p0, sqrt(2 p0)), as flow computes them: bounds on |q|,
-    |p| and |Q|, |P| on every row, since |sin|, |cos| <= 1 and rounding is
-    monotone."""
-    p0 = params.p0
-    return p0 / params.omega, p0, math.sqrt(2 * p0)
-
-
 def cmd_deform(args) -> int:
     label = _make_label(args)
     params = _make_params(args)
@@ -195,7 +187,7 @@ def cmd_deform(args) -> int:
     header = ("t", "q", "p", "Q", "P") + tuple(
         f"mu_{j + 1}{k + 1}^{i + 1}" for i, j, k in SLOTS)
     times = _times(args, params)
-    q, p, QP = amplitudes = _flow_amplitudes(params)
+    q, p, QP = amplitudes = params.amplitudes
     # each letter enters each entry of mu_slots at most once, and rounding
     # is monotone: an entry at the corner where all its terms share one sign
     # bounds, in magnitude, each of its partial sums on any row
@@ -212,7 +204,7 @@ def cmd_trajectory(args) -> int:
     times = _times(args, params)
     # exact: q = (p0/omega) sin, p, Q, P and H are finite on every row or on
     # none
-    _require_finite(*_flow_amplitudes(params), params.energy)
+    _require_finite(*params.amplitudes, params.energy)
     _emit_rows(("t", "q", "p", "Q", "P", "H"), flow(params, times),
                args.format, constants=(params.energy,))
     return 0
@@ -248,7 +240,7 @@ def cmd_jacobi(args) -> int:
         "alphabet": alphabet,
         "theorem_exact": list(theorem.exact),
         "theorem_residuals": [r.render() for r in theorem.residuals],
-        "delta_divisible": list(theorem.delta_divisible),
+        "delta_divisible": [theorem.delta_divisible] * 3,
         "semiclassical": list(semi),
         "h_equals_e": list(cor),
         "C": C,

@@ -251,49 +251,26 @@ class CoeffPoly:
     def substitute(self, mapping: dict) -> "CoeffPoly":
         """Replace central symbols by numbers or CoeffPoly values.
 
-        A number must be rational (a float raises TypeError, as in
-        _exact); it folds into each term's coefficient: a term with a
-        positive power of a symbol sent to 0 drops out, and a negative power
-        of one raises ZeroDivisionError.  Numbers are raised to their powers as
-        Fractions (an int to a negative power would give a float), and each
-        power is kept as an int when it is integral.  A symbol carrying a
-        negative exponent may only be replaced by an invertible monomial.
+        A number enters as the constant CoeffPoly.number(val), so a float
+        raises TypeError.  Each term, with the replaced symbols taken out,
+        is multiplied by the value of each to its power, by ** and *, and
+        the products are summed: a positive power of 0 drops the term, a
+        negative power of 0 raises ZeroDivisionError, and a negative power
+        of anything but a monomial raises ValueError.
         """
-        values = {}
-        for name, val in mapping.items():
-            values[_SYM_INDEX[name]] = val if isinstance(val, CoeffPoly) \
-                else Fraction(_exact(val))
-        powers: dict = {}
+        values = {_SYM_INDEX[name]: val if isinstance(val, CoeffPoly)
+                  else CoeffPoly.number(val) for name, val in mapping.items()}
         out: dict = {}
         for exps, coeff in self.terms.items():
             kept = list(exps)
-            factor = None
-            for idx, val in values.items():
-                e = kept[idx]
-                if e == 0:
-                    continue
+            for idx in values:
                 kept[idx] = 0
-                power = powers.get((idx, e))
-                if power is None:
-                    power = powers[idx, e] = val ** e \
-                        if isinstance(val, CoeffPoly) else _exact(val ** e)
-                if not isinstance(power, CoeffPoly):
-                    coeff *= power
-                    continue
-                factor = power if factor is None else factor * power
-            if not coeff:
-                continue
-            # coeff times factor times the monomial of the kept exponents,
-            # term by term
-            for e1, c1 in (((_ZERO_EXPS, 1),) if factor is None
-                           else factor.terms.items()):
-                key = tuple(map(_add, e1, kept))
-                c1 = c1 * coeff
-                if type(c1) is Fraction and c1.denominator == 1:
-                    c1 = c1.numerator
-                if key[_R] not in (0, 1):
-                    key, c1 = _canon_term(list(key), c1)
-                _accumulate(out, key, c1)
+            term = CoeffPoly({tuple(kept): coeff}, _canonical=True)
+            for idx, val in values.items():
+                if exps[idx]:
+                    term = term * val ** exps[idx]
+            for key, c in term.terms.items():
+                _accumulate(out, key, c)
         return CoeffPoly(out, _canonical=True)
 
     # -- rendering ---------------------------------------------------------

@@ -48,6 +48,14 @@ class HOParams(namedtuple("HOParams", "omega p0")):
     def energy(self) -> float:
         return self.p0 * self.p0 / 2
 
+    @property
+    def amplitudes(self) -> tuple[float, float, float]:
+        """(p0/omega, p0, sqrt(2 p0)), the amplitudes of q, p and Q, P in
+        flow: bounds on |q|, |p| and |Q|, |P| on every row, since |sin|,
+        |cos| <= 1 and rounding is monotone."""
+        p0 = self.p0
+        return p0 / self.omega, p0, math.sqrt(2 * p0)
+
     @classmethod
     def from_energy(cls, omega: float, energy: float) -> "HOParams":
         if not energy > 0:
@@ -64,11 +72,11 @@ class PhasePoint(namedtuple("PhasePoint", "t q p Q P H")):
 def flow(params: HOParams, times):
     """Exact flow from (q, p)(0) = (0, p0): a (t, q, p, Q, P) tuple for each
     t of times.  This is the one statement of the closed forms."""
-    w, p0 = params.omega, params.p0
-    amplitude, root = p0 / w, math.sqrt(2 * p0)
+    w = params.omega
+    q_amp, p0, root = params.amplitudes
     for t in times:
         wt = w * t
-        yield (t, amplitude * math.sin(wt), p0 * math.cos(wt),
+        yield (t, q_amp * math.sin(wt), p0 * math.cos(wt),
                root * math.sin(wt / 2), root * math.cos(wt / 2))
 
 

@@ -175,7 +175,8 @@ def claimed_jacobi(btype: BianchiType, xi: tuple[NCPoly, NCPoly],
 class TheoremReport(namedtuple("TheoremReport",
                                "exact residuals delta_divisible")):
     """Machine comparison of the computed Jacobiator against the claimed
-    closed forms, per component."""
+    closed forms: exact and residuals per component, delta_divisible once
+    (mu's antisymmetry)."""
 
     __slots__ = ()
 
@@ -191,11 +192,11 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
 
     The Jacobiator is D J(e1, e2, e3) when mu is antisymmetric (see the
     module docstring), and antisymmetry is checked exactly: that verdict is
-    delta_divisible, the same for each component.  A divisible component
-    is exact when J(e1, e2, e3) is the closed form at determinant 1.  Both
-    sides are compared at q_jacobiator's scale 32 p0, on integers; a
-    nonzero residual is reported as (J(e1, e2, e3) - closed form) D /
-    (32 p0), D being det_poly.
+    delta_divisible, one bool for all three components.  A component is
+    exact when mu is antisymmetric and J(e1, e2, e3) is the closed form at
+    determinant 1 in that component.  Both sides are compared at
+    q_jacobiator's scale 32 p0, on integers; a nonzero residual is reported
+    as (J(e1, e2, e3) - closed form) D / (32 p0), D being det_poly.
     """
     table = table_for(alphabet)
     qsc = q_structure(btype, table)
@@ -204,10 +205,10 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
     expected = claimed_jacobi(btype, xi_polys(table),
                               CoeffPoly.monomial(32, {"p0": 1}))
     per_scale = det_poly() * CoeffPoly.monomial(Fraction(1, 32), {"p0": -1})
-    divisible = (antisymmetry_break(qsc) is None,) * 3
+    divisible = antisymmetry_break(qsc) is None
     res = [j - exp for j, exp in zip(J, expected)]
     return TheoremReport(
-        exact=tuple(d and r.is_zero for d, r in zip(divisible, res)),
+        exact=tuple(divisible and r.is_zero for r in res),
         residuals=tuple(r if r.is_zero else r * per_scale for r in res),
         delta_divisible=divisible)
 
@@ -278,8 +279,7 @@ def corollary_HE(btype: BianchiType) -> list[NCPoly]:
 
 class DerivativeAlgebraReport(namedtuple(
         "DerivativeAlgebraReport",
-        "C beta_sq bracket_13_zero bracket_23_zero bracket_12_matches "
-        "basis_brackets_ok")):
+        "C beta_sq bracket_13_zero bracket_23_zero bracket_12_matches")):
     """Commutator structure of the reduced Jacobiator components: C and
     beta_sq are CoeffPolys or None."""
 
@@ -287,9 +287,11 @@ class DerivativeAlgebraReport(namedtuple(
 
     @property
     def heisenberg_ok(self) -> bool:
-        """The rescaled basis reproduces the Heisenberg (type II) table."""
+        """The rescaled basis reproduces the Heisenberg (type II) table:
+        the three brackets hold and beta^2 is nonzero (see
+        derivative_algebra)."""
         return (self.bracket_13_zero and self.bracket_23_zero
-                and self.bracket_12_matches and self.basis_brackets_ok)
+                and self.bracket_12_matches and bool(self.beta_sq))
 
     def rendered(self, field: str) -> str:
         """C or beta_sq as text; "undefined" where there is no C."""
@@ -306,43 +308,31 @@ def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
     """Commutators of the H = E Jacobiator components.
 
     [J1, J3] = 0 = [J2, J3] and [J1, J2] = C J3 with
-    C = lambda^2 omega^2 Delta / (32 p0^4); the basis e1 = -Delta J3,
+    C = lambda^2 omega^2 Delta / (32 p0^4).  The basis e1 = -Delta J3,
     e2 = -Delta J1, e3 = -Delta J2 then satisfies [e2, e3] = beta^2 e1 with
     beta^2 = -C Delta, i.e. the Heisenberg table up to the beta scaling
-    (removed by dividing e2, e3 by beta).  With beta^2 = 0 the basis spans
-    the abelian algebra, not the Heisenberg one, and the basis check fails.
+    (removed by dividing e2, e3 by beta).  Delta is central and untouched by
+    the H = E reduction, and multiplying by Delta^2 is injective, so
+    [e2, e3] = beta^2 e1, [e1, e2] = 0 and [e1, e3] = 0 hold exactly when
+    the three brackets of the J's do: the basis is not built.  With
+    beta^2 = 0 it spans the abelian algebra, not the Heisenberg one.
     components are corollary_HE of the type, as the caller already computed
-    them.  C and beta^2 are None, and every bracket check fails, when
-    [J1, J2] or J3 is not a scalar or J3 is not an invertible (nonzero
-    monomial) one.
+    them.  C and beta^2 are None, and [J1, J2] = C J3 fails, when [J1, J2]
+    or J3 is not a scalar or J3 is not an invertible (nonzero monomial) one.
     """
     j1, j2, j3 = components
     br12 = _reduce_he(commutator(j1, j2))
     br13 = _reduce_he(commutator(j1, j3))
     br23 = _reduce_he(commutator(j2, j3))
-    if not (br12.is_scalar and j3.is_scalar
-            and j3.scalar_part().is_monomial):
-        return DerivativeAlgebraReport(
-            C=None, beta_sq=None, bracket_13_zero=br13.is_zero,
-            bracket_23_zero=br23.is_zero, bracket_12_matches=False,
-            basis_brackets_ok=False)
-    C = br12.scalar_part() / j3.scalar_part()
-    beta_sq = -(C * _sym("Delta"))
-    minus_delta = -_sym("Delta")
-    e1 = j3 * minus_delta
-    e2 = j1 * minus_delta
-    e3 = j2 * minus_delta
-    br_e23 = _reduce_he(commutator(e2, e3))
-    br_e12 = _reduce_he(commutator(e1, e2))
-    br_e13 = _reduce_he(commutator(e1, e3))
+    C = None
+    if br12.is_scalar and j3.is_scalar and j3.scalar_part().is_monomial:
+        C = br12.scalar_part() / j3.scalar_part()
     return DerivativeAlgebraReport(
         C=C,
-        beta_sq=beta_sq,
+        beta_sq=None if C is None else -(C * _sym("Delta")),
         bracket_13_zero=br13.is_zero,
         bracket_23_zero=br23.is_zero,
-        bracket_12_matches=(br12 == j3 * C),
-        basis_brackets_ok=(not beta_sq.is_zero and br_e23 == e1 * beta_sq
-                           and br_e12.is_zero and br_e13.is_zero),
+        bracket_12_matches=C is not None and br12 == j3 * C,
     )
 
 

@@ -37,7 +37,7 @@ class CaseResult(namedtuple("CaseResult",
 
 
 class SuiteReport:
-    def __init__(self, name: str, seed: int | None = None):
+    def __init__(self, name: str, seed: int):
         self.name, self.seed = name, seed
         self.cases: list[CaseResult] = []
 
@@ -71,23 +71,19 @@ class SuiteReport:
             parts.append(f"pass={fmt(c.passed)}")
             lines.append(" ".join(parts))
         summary = [f"suite={self.name}", "case=SUMMARY",
-                   f"cases={len(self.cases)}", f"failures={self.failures}"]
-        if self.seed is not None:
-            summary.append(f"seed={self.seed}")
-        summary.append(f"pass={fmt(self.passed)}")
+                   f"cases={len(self.cases)}", f"failures={self.failures}",
+                   f"seed={self.seed}", f"pass={fmt(self.passed)}"]
         lines.append(" ".join(summary))
         return "\n".join(lines)
 
     def to_object(self) -> dict:
-        obj = {
+        return {
             "suite": self.name,
             "cases": [c.to_record() for c in self.sorted_cases()],
             "failures": self.failures,
             "pass": self.passed,
+            "seed": self.seed,
         }
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        return obj
 
     def render_json(self) -> str:
         return json.dumps(self.to_object(), sort_keys=True)

@@ -180,7 +180,7 @@ class TestBoundChecks:
         except ValueError:  # p0 is not finite: the usage error of any table
             accepted = False
         else:
-            amplitudes = cli._flow_amplitudes(params)
+            amplitudes = params.amplitudes
             C_float = tuple(map(float, C or label_params(label, params.p0)))
             accepted = all(map(math.isfinite, amplitudes + self.term_bounds(
                 C_float, omega, amplitudes)))
@@ -269,7 +269,8 @@ def test_negative_exponent_form_parses_like_equals_form(capsys, code, argv):
 @pytest.mark.parametrize("value", ("-inf", "-nan", "-1e999", "-Infinity"))
 @pytest.mark.parametrize("flag", ("--t0", "--t1", "--omega", "--energy"))
 def test_negative_non_finite_is_usage_error(capsys, flag, value):
-    for argv in (("trajectory", flag, value), ("trajectory", f"{flag}={value}")):
+    for argv in (("trajectory", flag, value),
+                 ("trajectory", f"{flag}={value}")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "Traceback" not in err

@@ -375,7 +375,7 @@ class TestCommutationTable:
             NCPoly(TABLE, {("Z",): 1})
 
 
-# -- quotient algebra -----------------------------------------------------------
+# -- quotient algebra -------------------------------------------------------
 
 
 class TestNCPoly:

@@ -215,7 +215,8 @@ class TestGerstenhaber:
             f = random_op(rng, dim)
             g = random_op(rng, dim)
             sign = (-1.0) ** (f.reduced_degree * g.reduced_degree)
-            total = gerstenhaber(f, g).coeffs + sign * gerstenhaber(g, f).coeffs
+            total = (gerstenhaber(f, g).coeffs
+                     + sign * gerstenhaber(g, f).coeffs)
             assert np.max(np.abs(total)) <= 1e-12
 
     def test_graded_jacobi(self):

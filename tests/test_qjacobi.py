@@ -250,7 +250,7 @@ class TestTheorem:
     @pytest.mark.parametrize("alphabet", ("PQ", "qpPQ"))
     def test_delta_divisibility_all_conventions(self, btype, conv, alphabet):
         rep = qj.verify_theorem_q(btype, conv, alphabet)
-        assert all(rep.delta_divisible)
+        assert rep.delta_divisible is True
 
     def test_right_convention_leaves_residual(self):
         rep = qj.verify_theorem_q(BianchiType.VIIA, "right", "PQ")
@@ -337,7 +337,6 @@ class TestDerivativeAlgebra:
         assert da.beta_sq == -(da.C * CoeffPoly.symbol("Delta"))
         assert da.bracket_13_zero and da.bracket_23_zero
         assert da.bracket_12_matches
-        assert da.basis_brackets_ok
         assert da.heisenberg_ok
 
     def test_commuting_input_is_not_heisenberg(self):
@@ -346,7 +345,6 @@ class TestDerivativeAlgebra:
         j1, _, j3 = qj.corollary_HE(BianchiType.VIIA)
         da = qj.derivative_algebra([j1, j1, j3])
         assert da.beta_sq.is_zero
-        assert not da.basis_brackets_ok
         assert not da.heisenberg_ok
 
     def test_commutators_directly(self):
@@ -462,7 +460,7 @@ class TestQuantumSuiteGates:
             with monkeypatch.context() as m:
                 m.setattr(qj, "q_structure", self.broken_structure(entry))
                 rep = qj.verify_theorem_q(BianchiType.VIIA, "left", "PQ")
-            assert rep.delta_divisible == (False,) * 3, entry
+            assert rep.delta_divisible is False, entry
             assert not rep.all_exact, entry
         monkeypatch.setattr(qj, "q_structure",
                             self.broken_structure((0, 1, 2)))
@@ -487,6 +485,35 @@ class TestQuantumSuiteGates:
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
         assert not cases["jacobi_theorem_machine_check"]
         assert not any(cases[k] for k in self.delta_cases(cases))
+
+    @staticmethod
+    def heisenberg_cases(monkeypatch, mutate) -> tuple[list, list]:
+        """The verdicts of the derivative_brackets and
+        heisenberg_identification cases, one per label, with corollary_HE's
+        components replaced by mutate(j1, j2, j3)."""
+        real = qj.corollary_HE
+        monkeypatch.setattr(qj, "corollary_HE",
+                            lambda btype: mutate(*real(btype)))
+        cases = {c.case_id: c.passed for c in quantum_suite().cases}
+        return ([cases[f"derivative_brackets_{b.value}"] for b in LABELS],
+                [cases[f"heisenberg_identification_{b.value}"]
+                 for b in LABELS])
+
+    def test_commuting_components_fail_only_heisenberg(self, monkeypatch):
+        """(J1, J1, J3) keeps all three brackets ([J1, J1] = 0 = 0 J3) but
+        gives beta^2 = 0: only the identification fails, so it is the
+        beta^2 != 0 part of it that fails."""
+        brackets, heisenberg = self.heisenberg_cases(
+            monkeypatch, lambda j1, j2, j3: (j1, j1, j3))
+        assert all(brackets)
+        assert not any(heisenberg)
+
+    def test_non_scalar_j3_fails_brackets_and_heisenberg(self, monkeypatch):
+        P = NCPoly.letter(qj.PQ_TABLE, "P")
+        brackets, heisenberg = self.heisenberg_cases(
+            monkeypatch, lambda j1, j2, j3: (j1, j2, j3 + P))
+        assert not any(brackets)
+        assert not any(heisenberg)
 
     @pytest.mark.parametrize("factor", (2, LAM))
     def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):

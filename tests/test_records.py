@@ -23,12 +23,11 @@ RECORDS = (
     (OperadicParams, {f"c{i}": float(i) for i in range(1, 10)}),
     (MultiOp, {"degree": 1, "dim": 2, "coeffs": np.eye(2)}),
     (TheoremReport, {"exact": (True, True, False), "residuals": (0, 0, 1),
-                     "delta_divisible": (True, True, True)}),
+                     "delta_divisible": True}),
     (DerivativeAlgebraReport, {"C": None, "beta_sq": None,
                                "bracket_13_zero": True,
                                "bracket_23_zero": True,
-                               "bracket_12_matches": False,
-                               "basis_brackets_ok": False}),
+                               "bracket_12_matches": False}),
     (CaseResult, {"case_id": "c", "passed": True, "residual": 0.5,
                   "tol": 1.0, "detail": "d"}),
 )
