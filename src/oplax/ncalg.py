@@ -7,7 +7,6 @@ Scalars are Laurent monomial sums over the fixed central symbol set
     h       -- the central symbol for sqrt(2H)
     omega, a, Delta, p0            -- parameters
     r       -- the single radical sqrt(2 p0), reduced by r^2 -> 2 p0
-    x1..x3, y1..y3, z1..z3         -- coordinate symbols
 
 with exact-rational coefficients: each stored coefficient is an int when it
 is integral and a Fraction otherwise, so products of integral coefficients
@@ -27,8 +26,7 @@ from fractions import Fraction
 from numbers import Rational
 from operator import add as _add
 
-SYMBOLS = ("lambda", "eps", "h", "omega", "a", "Delta", "p0", "r",
-           "x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3")
+SYMBOLS = ("lambda", "eps", "h", "omega", "a", "Delta", "p0", "r")
 _SYM_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _R = _SYM_INDEX["r"]
 _P0 = _SYM_INDEX["p0"]

@@ -25,7 +25,7 @@ it is the contraction sum_abc x^a y^b z^c J^i_abc of its tensor
 (mu^k_bc mu^i_ak in the right convention).  The product is bilinear, so
 for mu antisymmetric in its lower indices T is antisymmetric in (b, c) and
 J alternates: J_xxy = T_xxy + T_xyx + T_yxx = T_xxy - T_xxy + 0 = 0 and
-J_acb = -J_abc.  The contraction is then D J(e1, e2, e3), D the
+J_acb = -J_abc.  The contraction is then Delta J(e1, e2, e3), Delta the
 determinant of the three vectors: the theorem is read from J(e1, e2, e3)
 (q_jacobiator) and the exact antisymmetry of mu.
 
@@ -126,19 +126,6 @@ def q_jacobiator(qsc, conv: str = "left") -> tuple:
 
 
 @functools.cache
-def det_poly() -> CoeffPoly:
-    """Determinant of the coordinate rows (x, y, z) as a scalar polynomial,
-    built once per process: the column orders that rotate 123 enter with
-    +1, those that rotate 132 with -1."""
-    out = CoeffPoly.zero()
-    for cols, sign in (("123", 1), ("231", 1), ("312", 1),
-                       ("132", -1), ("321", -1), ("213", -1)):
-        out = out + CoeffPoly.monomial(
-            sign, {row + col: 1 for row, col in zip("xyz", cols)})
-    return out
-
-
-@functools.cache
 def xi_polys(table: CommutationTable) -> tuple[NCPoly, NCPoly]:
     """xi1 = omega*q Q + (p - p0) P and xi2 = omega*q P - (p + p0) Q, built
     once per process and table."""
@@ -190,13 +177,14 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
     """Compare the Jacobiator with claimed_jacobi per component, as an
     exact identity for all central coordinates.
 
-    The Jacobiator is D J(e1, e2, e3) when mu is antisymmetric (see the
+    The Jacobiator is Delta J(e1, e2, e3) when mu is antisymmetric (see the
     module docstring), and antisymmetry is checked exactly: that verdict is
     delta_divisible, one bool for all three components.  A component is
     exact when mu is antisymmetric and J(e1, e2, e3) is the closed form at
     determinant 1 in that component.  Both sides are compared at
     q_jacobiator's scale 32 p0, on integers; a nonzero residual is reported
-    as (J(e1, e2, e3) - closed form) D / (32 p0), D being det_poly.
+    times Delta / (32 p0), as (J(e1, e2, e3) - closed form) Delta, in the
+    determinant symbol of the closed form.
     """
     table = table_for(alphabet)
     qsc = q_structure(btype, table)
@@ -204,7 +192,7 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
     # the closed form is linear in the determinant: 32 p0 times it at 1
     expected = claimed_jacobi(btype, xi_polys(table),
                               CoeffPoly.monomial(32, {"p0": 1}))
-    per_scale = det_poly() * CoeffPoly.monomial(Fraction(1, 32), {"p0": -1})
+    per_scale = CoeffPoly.monomial(Fraction(1, 32), {"Delta": 1, "p0": -1})
     divisible = antisymmetry_break(qsc) is None
     res = [j - exp for j, exp in zip(J, expected)]
     return TheoremReport(

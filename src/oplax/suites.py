@@ -347,8 +347,9 @@ def quantum_suite(seed: int = 42) -> SuiteReport:
         rep.add(f"heisenberg_identification_{tag}", da.heisenberg_ok)
         beta_sqs.append(da.beta_sq)
 
-    # |Delta| selected by the spectrum, from the computed beta^2
-    deltas = [(_spectrum_delta(b, n), n) for b in beta_sqs for n in range(11)]
+    # |Delta| selected by the spectrum, from each distinct computed beta^2
+    deltas = [(_spectrum_delta(b, n), n)
+              for b in dict.fromkeys(beta_sqs) for n in range(11)]
     derived = all(d is not None for d, _ in deltas)
     worst = max(abs(d - qj.spectrum_determinant(n)) for d, n in deltas) \
         if derived else None

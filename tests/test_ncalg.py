@@ -154,6 +154,17 @@ class TestCoeffPoly:
         with pytest.raises(KeyError):
             CoeffPoly.monomial(1, {"nope": 1})
 
+    def test_coordinate_symbols_retired(self):
+        """The determinant is the one symbol Delta: the nine coordinate
+        symbols x1..z3 are not in the scalar ring."""
+        assert len(SYMBOLS) == 8
+        with pytest.raises(KeyError):
+            CoeffPoly.symbol("x1")
+        with pytest.raises(KeyError):
+            CoeffPoly.monomial(1, {"z3": 1})
+        with pytest.raises(KeyError):
+            CoeffPoly.one().substitute({"y2": 1})
+
     def test_constant_hashes_like_its_value(self):
         assert len({CoeffPoly.number(1), 1}) == 1
         assert hash(CoeffPoly.number(Fraction(3, 2))) == hash(Fraction(3, 2))
@@ -269,7 +280,8 @@ class TestCoeffPoly:
 # -- the kernel against a dense reference ------------------------------------
 
 R, P0 = SYMBOLS.index("r"), SYMBOLS.index("p0")
-KERNEL_SYMBOLS = tuple(SYMBOLS.index(n) for n in ("lambda", "p0", "r", "x1"))
+KERNEL_SYMBOLS = tuple(SYMBOLS.index(n)
+                       for n in ("lambda", "p0", "r", "Delta"))
 
 raw_terms = st.dictionaries(
     st.tuples(*(st.integers(-3, 3) for _ in KERNEL_SYMBOLS)),

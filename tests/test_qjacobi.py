@@ -223,21 +223,6 @@ class TestJacobiatorContraction:
         assert products == 18
 
 
-class TestDeterminant:
-    def test_unit_coords_give_one(self):
-        unit = {f"{row}{col}": int(i == j) for i, row in enumerate("xyz")
-                for j, col in enumerate("123")}
-        assert qj.det_poly().substitute(unit).constant_value() == 1
-
-    def test_six_terms_and_signs(self):
-        D = qj.det_poly()
-        assert len(D.terms) == 6
-        swap = {"x1": CoeffPoly.symbol("y1"), "y1": CoeffPoly.symbol("x1"),
-                "x2": CoeffPoly.symbol("y2"), "y2": CoeffPoly.symbol("x2"),
-                "x3": CoeffPoly.symbol("y3"), "y3": CoeffPoly.symbol("x3")}
-        assert D.substitute(swap) == -D
-
-
 class TestTheorem:
     @pytest.mark.parametrize("btype", LABELS)
     @pytest.mark.parametrize("alphabet", ("PQ", "qpPQ"))
@@ -453,7 +438,7 @@ class TestQuantumSuiteGates:
 
     def test_broken_mu_fails_divisibility(self, monkeypatch):
         """A mu that is not antisymmetric has no alternating Jacobiator to
-        divide by D: broken at any one of its 27 entries, no component is
+        divide by Delta: broken at any one of its 27 entries, no component is
         divisible and none certifies.  Broken at one entry, every
         divisibility case of the suite and the machine check fail."""
         for entry in product(range(3), repeat=3):
@@ -470,7 +455,7 @@ class TestQuantumSuiteGates:
 
     def test_symmetric_structure_fails_theorem(self, monkeypatch, request):
         """A mu with +value at the transposed slots is not antisymmetric:
-        neither the closed form nor the divisibility by D holds.
+        neither the closed form nor the divisibility by Delta holds.
         q_structure is cached, so the cache is emptied before the mutation
         and again after it."""
         def symmetric(values, zero=0):

@@ -231,10 +231,9 @@ def oracle_jacobiator(btype, conv, abc=(0, 1, 2), alphabet="PQ"):
 @pytest.mark.parametrize("btype", LABELS)
 def test_quantum_theorem_both_conventions(btype):
     """In both alphabets, the left convention gives the closed form at
-    D = 1 exactly, and oplax certifies it; the right convention leaves
-    oplax's residual at unit coordinates."""
-    unit = {f"{row}{col}": int(i == j) for i, row in enumerate("xyz")
-            for j, col in enumerate("123")}
+    Delta = 1 exactly, and oplax certifies it; the right convention leaves
+    oplax's residual, which is (J(e1, e2, e3) - closed form) Delta with
+    Delta the symbol of the determinant."""
     for alphabet in ALPHABETS:
         closed = [c.subs(DELTA, 1)
                   for c in oracle_closed_form(btype, alphabet)]
@@ -246,8 +245,7 @@ def test_quantum_theorem_both_conventions(btype):
         rep = qj.verify_theorem_q(btype, "right", alphabet)
         assert not rep.all_exact
         for got, expected, residual in zip(right, closed, rep.residuals):
-            at_unit = residual.substitute_symbols(unit)
-            assert_same(operator_of(at_unit), got - expected)
+            assert_same(operator_of(residual), (got - expected) * DELTA)
 
 
 @pytest.mark.parametrize("btype", LABELS)
