@@ -237,6 +237,22 @@ class TestTheorem:
         rep = qj.verify_theorem_q(btype, conv, alphabet)
         assert rep.delta_divisible is True
 
+    @pytest.mark.parametrize("btype, conv, alphabet", CONFIGS)
+    def test_residual_is_nested_difference_times_delta(self, btype, conv,
+                                                        alphabet):
+        """Each residual is the nested-bracket Jacobiator of e1, e2, e3
+        minus the closed form at determinant 1, times the determinant
+        symbol Delta: zero where the theorem holds, and in the right
+        convention neither Delta^2 nor another power of p0."""
+        table = qj.table_for(alphabet)
+        qsc = qj.q_structure(btype, table)
+        delta = CoeffPoly.symbol("Delta")
+        nested = nested_jacobiator(*unit_vectors(table), qsc, conv)
+        closed = qj.claimed_jacobi(btype, qj.xi_polys(table), delta)
+        rep = qj.verify_theorem_q(btype, conv, alphabet)
+        assert rep.residuals == tuple(j * delta - c
+                                      for j, c in zip(nested, closed))
+
     def test_right_convention_leaves_residual(self):
         rep = qj.verify_theorem_q(BianchiType.VIIA, "right", "PQ")
         assert not rep.all_exact
