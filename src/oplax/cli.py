@@ -220,7 +220,7 @@ def _label_fields(btype: BianchiType) -> tuple:
     da = qj.derivative_algebra(cor)
     return (tuple(c.render() for c in qj.semiclassical_jacobi(btype)),
             tuple(c.render() for c in cor), da.rendered("C"),
-            da.rendered("beta_sq"), da.heisenberg_ok)
+            da.rendered("beta_sq"), da.heisenberg)
 
 
 def cmd_jacobi(args) -> int:

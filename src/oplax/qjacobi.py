@@ -266,20 +266,13 @@ def corollary_HE(btype: BianchiType) -> list[NCPoly]:
 
 
 class DerivativeAlgebraReport(namedtuple(
-        "DerivativeAlgebraReport",
-        "C beta_sq bracket_13_zero bracket_23_zero bracket_12_matches")):
+        "DerivativeAlgebraReport", "C beta_sq heisenberg")):
     """Commutator structure of the reduced Jacobiator components: C and
-    beta_sq are CoeffPolys or None."""
+    beta_sq are CoeffPolys or None, and heisenberg is whether the rescaled
+    basis reproduces the Heisenberg (type II) table (see
+    derivative_algebra)."""
 
     __slots__ = ()
-
-    @property
-    def heisenberg_ok(self) -> bool:
-        """The rescaled basis reproduces the Heisenberg (type II) table:
-        the three brackets hold and beta^2 is nonzero (see
-        derivative_algebra)."""
-        return (self.bracket_13_zero and self.bracket_23_zero
-                and self.bracket_12_matches and bool(self.beta_sq))
 
     def rendered(self, field: str) -> str:
         """C or beta_sq as text; "undefined" where there is no C."""
@@ -307,21 +300,18 @@ def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
     components are corollary_HE of the type, as the caller already computed
     them.  C and beta^2 are None, and [J1, J2] = C J3 fails, when [J1, J2]
     or J3 is not a scalar or J3 is not an invertible (nonzero monomial) one.
+    heisenberg is the one verdict: the three brackets hold and beta^2 != 0.
     """
     j1, j2, j3 = components
     br12 = _reduce_he(commutator(j1, j2))
-    br13 = _reduce_he(commutator(j1, j3))
-    br23 = _reduce_he(commutator(j2, j3))
     C = None
     if br12.is_scalar and j3.is_scalar and j3.scalar_part().is_monomial:
         C = br12.scalar_part() / j3.scalar_part()
-    return DerivativeAlgebraReport(
-        C=C,
-        beta_sq=None if C is None else -(C * _sym("Delta")),
-        bracket_13_zero=br13.is_zero,
-        bracket_23_zero=br23.is_zero,
-        bracket_12_matches=C is not None and br12 == j3 * C,
-    )
+    beta_sq = None if C is None else -(C * _sym("Delta"))
+    heisenberg = (bool(beta_sq) and br12 == j3 * C
+                  and _reduce_he(commutator(j1, j3)).is_zero
+                  and _reduce_he(commutator(j2, j3)).is_zero)
+    return DerivativeAlgebraReport(C, beta_sq, heisenberg)
 
 
 def spectrum_determinant(n: int) -> float:

@@ -330,9 +330,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("seed", (42, 1, 7, 1000, 2000))
     def test_quantum_json_matches_golden(self, capsys, seed):
-        """The quantum report holds no BLAS result (exact algebra, and
-        math.sqrt in spectrum_determinant), so its line of each verify
-        golden file, the fourth, holds on every platform."""
+        """The quantum report holds no float at all (every case is exact),
+        so its line of each verify golden file, the fourth, holds on every
+        platform."""
         code, out, _ = run_cli(capsys, "verify", "--target", "quantum",
                                "--format", "json", "--seed", str(seed))
         assert code == 0

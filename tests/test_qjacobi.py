@@ -9,7 +9,7 @@ from oplax.bianchi import BianchiType, UnsupportedLabelError
 from oplax.cli import main
 from oplax.lax import SLOTS, antisymmetry_break
 from oplax.ncalg import CoeffPoly, NCPoly, commutator
-from oplax.suites import quantum_suite
+from oplax.suites import _spectrum_delta, quantum_suite
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
@@ -336,9 +336,7 @@ class TestDerivativeAlgebra:
         assert da.C == expected_C
         assert not da.C.contains("a")
         assert da.beta_sq == -(da.C * CoeffPoly.symbol("Delta"))
-        assert da.bracket_13_zero and da.bracket_23_zero
-        assert da.bracket_12_matches
-        assert da.heisenberg_ok
+        assert da.heisenberg is True
 
     def test_commuting_input_is_not_heisenberg(self):
         """[J1, J1] = 0 gives beta^2 = 0, the abelian algebra: reported as
@@ -346,9 +344,10 @@ class TestDerivativeAlgebra:
         j1, _, j3 = qj.corollary_HE(BianchiType.VIIA)
         da = qj.derivative_algebra([j1, j1, j3])
         assert da.beta_sq.is_zero
-        assert not da.heisenberg_ok
+        assert da.heisenberg is False
 
     def test_commutators_directly(self):
+        """The three brackets that the Heisenberg verdict reads."""
         j1, j2, j3 = qj.corollary_HE(BianchiType.VIIA)
         reduce = qj._reduce_he
         assert reduce(commutator(j1, j3)).is_zero
@@ -370,6 +369,19 @@ class TestSpectrum:
     def test_domain(self):
         with pytest.raises(ValueError):
             qj.spectrum_determinant(-1)
+
+    def test_spectrum_delta_is_exact(self):
+        """The suite reads Delta^2 = 32 (2n+1)^2 as an int or a Fraction,
+        never a float, also where 1/k is integral."""
+        for btype in LABELS:
+            beta_sq = qj.derivative_algebra(qj.corollary_HE(btype)).beta_sq
+            for n in range(11):
+                delta_sq = _spectrum_delta(beta_sq, n)
+                assert type(delta_sq) in (int, Fraction), (btype, n)
+                assert delta_sq == 32 * (2 * n + 1) ** 2, (btype, n)
+        # times 32, k = 1/(2n+1)^2 is the int 1 at n = 0
+        delta_sq = _spectrum_delta(beta_sq * 32, 0)
+        assert type(delta_sq) in (int, Fraction) and delta_sq == 1
 
 
 class TestQuantumSuiteGates:
@@ -423,7 +435,7 @@ class TestQuantumSuiteGates:
         monkeypatch.setattr(qj, "claimed_jacobi", zero_j3)
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
         derivative = [k for k in cases if k.startswith("derivative_")]
-        assert len(derivative) == 4 * len(LABELS)
+        assert len(derivative) == 2 * len(LABELS)
         assert not any(cases[k] for k in derivative)
         assert not cases["spectrum_determinant"]
         assert main(["verify", "--target", "quantum"]) == 1
@@ -434,7 +446,7 @@ class TestQuantumSuiteGates:
     @staticmethod
     def delta_cases(cases: dict) -> list:
         delta = [k for k in cases if k.startswith("jacobi_delta_divisible_")]
-        assert len(delta) == 4 * len(LABELS)
+        assert len(delta) == 2 * len(LABELS)
         return delta
 
     @staticmethod
@@ -452,17 +464,26 @@ class TestQuantumSuiteGates:
 
         return broken
 
-    def test_broken_mu_fails_divisibility(self, monkeypatch):
+    @pytest.mark.parametrize("alphabet", ("PQ", "qpPQ"))
+    def test_broken_mu_fails_divisibility(self, monkeypatch, alphabet):
         """A mu that is not antisymmetric has no alternating Jacobiator to
         divide by Delta: broken at any one of its 27 entries, no component is
-        divisible and none certifies.  Broken at one entry, every
-        divisibility case of the suite and the machine check fail."""
-        for entry in product(range(3), repeat=3):
-            with monkeypatch.context() as m:
-                m.setattr(qj, "q_structure", self.broken_structure(entry))
-                rep = qj.verify_theorem_q(BianchiType.VIIA, "left", "PQ")
-            assert rep.delta_divisible is False, entry
-            assert not rep.all_exact, entry
+        divisible and none certifies.  The verdict reads mu alone, so the
+        left and right conventions share it, broken or not, and the suite
+        reports one divisibility case per label and alphabet.  Broken at one
+        entry, every divisibility case of the suite and the machine check
+        fail."""
+        for btype in LABELS:
+            for entry in (None, *product(range(3), repeat=3)):
+                with monkeypatch.context() as m:
+                    if entry is not None:
+                        m.setattr(qj, "q_structure",
+                                  self.broken_structure(entry))
+                    left, right = (qj.verify_theorem_q(btype, conv, alphabet)
+                                   for conv in ("left", "right"))
+                assert left.delta_divisible is right.delta_divisible \
+                    is (entry is None), (btype, entry)
+                assert left.all_exact is (entry is None), (btype, entry)
         monkeypatch.setattr(qj, "q_structure",
                             self.broken_structure((0, 1, 2)))
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
@@ -488,36 +509,32 @@ class TestQuantumSuiteGates:
         assert not any(cases[k] for k in self.delta_cases(cases))
 
     @staticmethod
-    def heisenberg_cases(monkeypatch, mutate) -> tuple[list, list]:
-        """The verdicts of the derivative_brackets and
-        heisenberg_identification cases, one per label, with corollary_HE's
-        components replaced by mutate(j1, j2, j3)."""
+    def heisenberg_cases(monkeypatch, mutate) -> list:
+        """The verdicts of the heisenberg_identification cases, one per
+        label, with corollary_HE's components replaced by
+        mutate(j1, j2, j3)."""
         real = qj.corollary_HE
         monkeypatch.setattr(qj, "corollary_HE",
                             lambda btype: mutate(*real(btype)))
         cases = {c.case_id: c.passed for c in quantum_suite().cases}
-        return ([cases[f"derivative_brackets_{b.value}"] for b in LABELS],
-                [cases[f"heisenberg_identification_{b.value}"]
-                 for b in LABELS])
+        return [cases[f"heisenberg_identification_{b.value}"]
+                for b in LABELS]
 
-    def test_commuting_components_fail_only_heisenberg(self, monkeypatch):
+    def test_commuting_components_fail_heisenberg(self, monkeypatch):
         """(J1, J1, J3) keeps all three brackets ([J1, J1] = 0 = 0 J3) but
-        gives beta^2 = 0: only the identification fails, so it is the
-        beta^2 != 0 part of it that fails."""
-        brackets, heisenberg = self.heisenberg_cases(
-            monkeypatch, lambda j1, j2, j3: (j1, j1, j3))
-        assert all(brackets)
-        assert not any(heisenberg)
+        gives beta^2 = 0, the abelian algebra: the identification fails."""
+        assert not any(self.heisenberg_cases(
+            monkeypatch, lambda j1, j2, j3: (j1, j1, j3)))
 
-    def test_non_scalar_j3_fails_brackets_and_heisenberg(self, monkeypatch):
+    def test_non_scalar_j3_fails_heisenberg(self, monkeypatch):
         P = NCPoly.letter(qj.PQ_TABLE, "P")
-        brackets, heisenberg = self.heisenberg_cases(
-            monkeypatch, lambda j1, j2, j3: (j1, j2, j3 + P))
-        assert not any(brackets)
-        assert not any(heisenberg)
+        assert not any(self.heisenberg_cases(
+            monkeypatch, lambda j1, j2, j3: (j1, j2, j3 + P)))
 
-    @pytest.mark.parametrize("factor", (2, LAM))
-    def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
+    @staticmethod
+    def skewed_beta_sq_cases(monkeypatch, factor) -> dict:
+        """The quantum suite's verdicts with derivative_algebra's beta^2
+        multiplied by factor."""
         real = qj.derivative_algebra
 
         def skewed(components):
@@ -525,4 +542,19 @@ class TestQuantumSuiteGates:
             return da._replace(beta_sq=da.beta_sq * factor)
 
         monkeypatch.setattr(qj, "derivative_algebra", skewed)
-        assert not self.case_passed("spectrum_determinant")
+        return {c.case_id: c.passed for c in quantum_suite().cases}
+
+    @pytest.mark.parametrize("factor", (2, -1, LAM))
+    def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
+        cases = self.skewed_beta_sq_cases(monkeypatch, factor)
+        assert not cases["spectrum_determinant"]
+
+    def test_beta_sq_scaled_by_omega_over_p0_fails_only_beta_sq(
+            self, monkeypatch):
+        """The spectrum is read at omega = p0, where omega/p0 = 1, so only
+        the derivative_beta_sq cases see this scaling."""
+        cases = self.skewed_beta_sq_cases(
+            monkeypatch, CoeffPoly.monomial(1, {"omega": 1, "p0": -1}))
+        assert not any(cases[f"derivative_beta_sq_{b.value}"]
+                       for b in LABELS)
+        assert cases["spectrum_determinant"]

@@ -25,9 +25,7 @@ RECORDS = (
     (TheoremReport, {"exact": (True, True, False), "residuals": (0, 0, 1),
                      "delta_divisible": True}),
     (DerivativeAlgebraReport, {"C": None, "beta_sq": None,
-                               "bracket_13_zero": True,
-                               "bracket_23_zero": True,
-                               "bracket_12_matches": False}),
+                               "heisenberg": False}),
     (CaseResult, {"case_id": "c", "passed": True, "residual": 0.5,
                   "tol": 1.0, "detail": "d"}),
 )
