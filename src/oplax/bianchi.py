@@ -6,16 +6,15 @@ The three-dimensional structure equations are parameterized as
     [e1, e2] = -alpha e2 + n3 e3,  [e2, e3] = n1 e1,
     [e3, e1] = n2 e2 + alpha e3.
 
-Deformations are produced two independent ways: through the 9-parameter
-operadic family (solve_C then build_mu along the trajectory) and through
-stored closed forms; the test suite asserts the two agree.  The quantum
-structure (qjacobi.q_structure) is the operadic family too, from the same
-rows over symbols, so the closed forms check it as well.  Type II
-(Heisenberg) is data-only: it has no deformation row.  Structure tensors
-are numpy arrays of shape (..., 3, 3, 3): structure_constants,
-dynamical_deformation, deformation_closed_form and classical_jacobiator
-return or take stacks of them and load numpy on first use; label_params
-(the CLI's deform table) does not.
+Deformations come from the 9-parameter operadic family (solve_C, then
+build_mu along the trajectory).  deformation_closed_form is the paper's
+table of them, stated once for any scalars that divide; the bianchi suite
+checks it exactly against lax.mu_slots at the rows' C over symbols, the C
+of qjacobi.q_structure.  Type II (Heisenberg) is data-only: it has no
+deformation row.  structure_constants, dynamical_deformation and
+classical_jacobiator return or take numpy stacks of shape (..., 3, 3, 3)
+and load numpy on first use; label_params (the CLI's deform table) and
+deformation_closed_form do not.
 """
 
 from __future__ import annotations
@@ -122,28 +121,26 @@ def dynamical_deformation(C: OperadicParams, params: HOParams,
     return mu.reshape(np.shape(t) + (3, 3, 3))
 
 
-def deformation_closed_form(label: BianchiLabel, params: HOParams,
-                            t) -> np.ndarray:
-    """Deformed structure tensor from the stored closed forms (independent
-    of the operadic generation path)."""
-    require_deformable(label.type)
-    a = label.a_value
-    n3 = 1 if label.type is BianchiType.VIIA else -1
-    pt = phase_points(params, t)
-    p0 = params.p0
-    root = np.sqrt(2 * p0)
-    w = params.omega
-    return antisymmetric((
-        a * pt.Q / root,             # mu^1_12
-        -a * pt.P / root,            # mu^2_12
-        float(n3),                   # mu^3_12
-        (p0 - pt.p) / (2 * p0),      # mu^1_23
-        -w * pt.q / (2 * p0),        # mu^2_23
-        -a * pt.Q / root,            # mu^3_23
-        -w * pt.q / (2 * p0),        # mu^1_31
-        (pt.p + p0) / (2 * p0),      # mu^2_31
-        a * pt.P / root,             # mu^3_31
-    )).reshape(np.shape(t) + (3, 3, 3))
+def deformation_closed_form(btype: BianchiType, a, p0, r, wq, p, Q,
+                            P) -> tuple:
+    """The paper's table: the nine deformed components in SLOTS order at
+    the phase point with omega*q = wq, for r = sqrt(2 p0) and a = 1 for
+    III_{a=1}, apart from the operadic family and _PARAMS.  Any scalars
+    that divide: floats, Fractions, CoeffPolys or sympy (n3 in p0's type)."""
+    require_deformable(btype)
+    n3 = (1 if btype is BianchiType.VIIA else -1) * (p0 / p0)
+    two_p0 = 2 * p0
+    return (
+        a * Q / r,               # mu^1_12
+        -a * P / r,              # mu^2_12
+        n3,                      # mu^3_12
+        (p0 - p) / two_p0,       # mu^1_23
+        -wq / two_p0,            # mu^2_23
+        -a * Q / r,              # mu^3_23
+        -wq / two_p0,            # mu^1_31
+        (p + p0) / two_p0,       # mu^2_31
+        a * P / r,               # mu^3_31
+    )
 
 
 def classical_jacobiator(mu: np.ndarray, x, y, z) -> np.ndarray:

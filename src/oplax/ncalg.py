@@ -151,10 +151,6 @@ class CoeffPoly:
             return self.terms[_ZERO_EXPS]
         raise ValueError(f"not a constant: {self.render()}")
 
-    def contains(self, name: str) -> bool:
-        i = _SYM_INDEX[name]
-        return any(exps[i] != 0 for exps in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

@@ -40,8 +40,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bianchi import BianchiType, _row_tensor, require_deformable
-from .lax import _params_of, antisymmetric, antisymmetry_break, mu_slots
+from .bianchi import _PARAMS, BianchiType, _row_tensor, require_deformable
+from .lax import (OperadicParams, _params_of, antisymmetric,
+                  antisymmetry_break, mu_slots)
 from .ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly, commutator,
                     quasi_ccr_table)
 
@@ -78,23 +79,35 @@ def omega_q_poly(table: CommutationTable) -> NCPoly:
                           ("Q", "P"): Fraction(1, 2)})
 
 
-@functools.cache
-def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
-    """3x3x3 nested tuple of NCPoly operator structure constants, built
-    once per process, label and table: lax.mu_slots at the Bianchi row's C
-    (solve_C's formula over the symbols a, p0 and r), with the operators
-    omega*q, p, Q and P for the letters (omega*q is one letter, so w = 1)."""
+def row_params(btype: BianchiType) -> OperadicParams:
+    """solve_C's formula at the Bianchi row over the symbols a, p0 and r,
+    the C of q_structure and of the bianchi suite's closed-form check,
+    solved once per label and _PARAMS entry (a changed entry afresh)."""
     require_deformable(btype)
-    # the row's integers as CoeffPolys: solve_C's formula divides them by
-    # the symbols p0 and r, and an int cannot be divided by a CoeffPoly
+    return _row_params(btype, _PARAMS[btype])
+
+
+@functools.cache
+def _row_params(btype: BianchiType, entry: tuple) -> OperadicParams:
+    # entry keys the cache.  The row's ints as CoeffPolys, which the
+    # symbols p0 and r can divide
     one = CoeffPoly.one()
     row = [[[one * x for x in row] for row in plane]
            for plane in _row_tensor(btype, _sym("a"))]
-    C = _params_of(row, _sym("p0"), _sym("r"))
+    return _params_of(row, _sym("p0"), _sym("r"))
+
+
+@functools.cache
+def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
+    """3x3x3 nested tuple of NCPoly operator structure constants, built
+    once per process, label and table: lax.mu_slots at row_params, with the
+    operators omega*q, p, Q and P for the letters (omega*q is one letter,
+    so w = 1)."""
     mu = antisymmetric(mu_slots(
-        [NCPoly.scalar(table, c) for c in C], 1, omega_q_poly(table),
-        momentum_poly(table), NCPoly.letter(table, "Q"),
-        NCPoly.letter(table, "P")), zero=NCPoly.zero(table))
+        [NCPoly.scalar(table, c) for c in row_params(btype)], 1,
+        omega_q_poly(table), momentum_poly(table),
+        NCPoly.letter(table, "Q"), NCPoly.letter(table, "P")),
+        zero=NCPoly.zero(table))
     return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 
@@ -286,32 +299,21 @@ def _reduce_he(x: NCPoly) -> NCPoly:
 
 
 def derivative_algebra(components: list[NCPoly]) -> DerivativeAlgebraReport:
-    """Commutators of the H = E Jacobiator components.
-
-    [J1, J3] = 0 = [J2, J3] and [J1, J2] = C J3 with
-    C = lambda^2 omega^2 Delta / (32 p0^4).  The basis e1 = -Delta J3,
-    e2 = -Delta J1, e3 = -Delta J2 then satisfies [e2, e3] = beta^2 e1 with
-    beta^2 = -C Delta, i.e. the Heisenberg table up to the beta scaling
-    (removed by dividing e2, e3 by beta).  Delta is central and untouched by
-    the H = E reduction, and multiplying by Delta^2 is injective, so
-    [e2, e3] = beta^2 e1, [e1, e2] = 0 and [e1, e3] = 0 hold exactly when
-    the three brackets of the J's do: the basis is not built.  With
-    beta^2 = 0 it spans the abelian algebra, not the Heisenberg one.
-    components are corollary_HE of the type, as the caller already computed
-    them.  C and beta^2 are None, and [J1, J2] = C J3 fails, when [J1, J2]
-    or J3 is not a scalar or J3 is not an invertible (nonzero monomial) one.
-    heisenberg is the one verdict: the three brackets hold and beta^2 != 0.
-    """
+    """Commutators of the H = E Jacobiator components (corollary_HE of the
+    type): C = [J1, J2] / J3 = lambda^2 omega^2 Delta / (32 p0^4), None
+    unless [J1, J2] and J3 are scalars and J3 a nonzero monomial, and
+    beta^2 = -C Delta.  With C defined, J3 is central, so [J1, J3] = 0 =
+    [J2, J3] and [J1, J2] = C J3 hold by construction, and the basis
+    e1 = -Delta J3, e2 = -Delta J1, e3 = -Delta J2 has [e2, e3] = beta^2 e1
+    and [e1, e2] = 0 = [e1, e3]: the Heisenberg table up to the beta
+    scaling.  heisenberg is beta^2 != 0 (at 0 the algebra is abelian)."""
     j1, j2, j3 = components
     br12 = _reduce_he(commutator(j1, j2))
     C = None
     if br12.is_scalar and j3.is_scalar and j3.scalar_part().is_monomial:
         C = br12.scalar_part() / j3.scalar_part()
     beta_sq = None if C is None else -(C * _sym("Delta"))
-    heisenberg = (bool(beta_sq) and br12 == j3 * C
-                  and _reduce_he(commutator(j1, j3)).is_zero
-                  and _reduce_he(commutator(j2, j3)).is_zero)
-    return DerivativeAlgebraReport(C, beta_sq, heisenberg)
+    return DerivativeAlgebraReport(C, beta_sq, bool(beta_sq))
 
 
 def spectrum_determinant(n: int) -> float:

@@ -9,7 +9,7 @@ draws the shapes of OPERAD_SAMPLES random triples in one call and the
 integer coefficients of each group of one shape in one call per operand
 (so its residuals are exact, on any BLAS), and the bianchi suite's exact
 round trip draws its numerators and its denominators in one call each.
-The lax and bianchi cases on a time grid take T_SAMPLES times.
+The lax cases on a time grid take T_SAMPLES times.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .bianchi import (DEFORMABLE, BianchiLabel, BianchiType,
                       dynamical_deformation, label_params,
                       structure_constants)
 from .lax import (FD_STEP, SLOTS, OperadicParams, _exact_sqrt, antisymmetric,
-                  build_mu, phase_points, solve_C, verify_matrix_lax,
-                  verify_operadic_lax)
+                  build_mu, mu_slots, phase_points, solve_C,
+                  verify_matrix_lax, verify_operadic_lax)
 from .ncalg import CoeffPoly, NCPoly
 from .operad import MultiOp, gerstenhaber, graded_lie_residuals
 from .oscillator import (HOParams, PhasePoint, poisson_bracket,
@@ -33,8 +33,8 @@ from .report import SuiteReport
 
 np = LazyNumpy(globals())
 
-# random triples of the operad suite, and times of each grid of the lax and
-# bianchi suites
+# random triples of the operad suite, and times of each grid of the lax
+# suite
 OPERAD_SAMPLES = 1000
 T_SAMPLES = 100
 
@@ -45,7 +45,7 @@ T_SAMPLES = 100
 # threshold (128 KiB).
 BATCH_BYTES = 64 * 1024
 
-# The lax and bianchi float checks run on stacks of at most CHUNK samples.  A
+# The lax suite's float checks run on stacks of at most CHUNK samples.  A
 # check holds several stacks of 3x3x3 tensors at once (mu, dmu/dt, the
 # bracket's partial compositions), so each is kept to half of BATCH_BYTES.
 CHUNK = BATCH_BYTES // (2 * 27 * 8)
@@ -223,16 +223,19 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
     params = HOParams(omega=1.3, p0=0.9)
     rows = {label: label_params(label, params.p0) for label in _DEFORM_LABELS}
 
-    def closed_form_gap(label):
-        return lambda t: np.abs(
-            dynamical_deformation(rows[label], params, t)
-            - deformation_closed_form(label, params, t)
-        ).max(axis=(1, 2, 3))
-
-    times = np.linspace(0.0, 4 * np.pi / params.omega, T_SAMPLES)
-    _add_worst(rep, "deformation_closed_forms", 1e-12,
-               *(_chunked(closed_form_gap(label), times)
-                 for label in _DEFORM_LABELS))
+    # the paper's table against mu_slots at the rows' C over the symbols a,
+    # p0 and r: both are affine in (omega q, p, Q, P), so equality at the
+    # four unit points and the origin (j = 4) is an identity
+    zero, one = CoeffPoly.zero(), CoeffPoly.one()
+    points = [[one if i == j else zero for i in range(4)] for j in range(5)]
+    p0, r = CoeffPoly.symbol("p0"), CoeffPoly.symbol("r")
+    ok = True
+    for btype in DEFORMABLE:
+        a = one if btype is BianchiType.IIIA1 else CoeffPoly.symbol("a")
+        ok &= all(mu_slots(qj.row_params(btype), 1, *pt)
+                  == deformation_closed_form(btype, a, p0, r, *pt)
+                  for pt in points)
+    rep.add("deformation_closed_forms", ok)
 
     # exact round trips at each p0: the Bianchi rows, and 25 random tensors
     # whose nine independent entries are rationals, their numerators and

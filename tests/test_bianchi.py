@@ -11,7 +11,7 @@ from oplax.bianchi import (BianchiLabel, BianchiType, UnsupportedLabelError,
                            dynamical_deformation, label_params,
                            structure_constants)
 from oplax.cli import main
-from oplax.lax import _exact_sqrt, build_mu, solve_C
+from oplax.lax import SLOTS, _exact_sqrt, build_mu, solve_C
 from oplax.oscillator import HOParams, PhasePoint, trajectory
 from oplax.suites import CHUNK, _chunked, bianchi_suite
 
@@ -25,6 +25,14 @@ DEFORMABLE = [
     BianchiLabel(BianchiType.VIA, 0.5),
     BianchiLabel(BianchiType.VIA, 3.0),
 ]
+
+
+def closed_form(label, params, t):
+    """The paper's table at time t over floats, in SLOTS order."""
+    pt = trajectory(params, t)
+    return deformation_closed_form(
+        label.type, float(label.a_value), params.p0,
+        math.sqrt(2 * params.p0), params.omega * pt.q, pt.p, pt.Q, pt.P)
 
 
 class TestLabel:
@@ -83,12 +91,12 @@ class TestStructureConstants:
 
 class TestDeformations:
     def test_type_ii_not_deformable(self):
-        params = HOParams(omega=1.0, p0=1.0)
         label = BianchiLabel(BianchiType.II)
         with pytest.raises(UnsupportedLabelError):
             label_params(label, 1.0)
         with pytest.raises(UnsupportedLabelError):
-            deformation_closed_form(label, params, 0.0)
+            deformation_closed_form(label.type, 1.0, 1.0, math.sqrt(2.0),
+                                    0.0, 1.0, 0.0, math.sqrt(2.0))
 
     @pytest.mark.parametrize("label", DEFORMABLE + [
         BianchiLabel(BianchiType.VIIA, 2),
@@ -117,9 +125,9 @@ class TestDeformations:
         sc0 = structure_constants(label).astype(float)
         C = label_params(label, params.p0)
         gen = dynamical_deformation(C, params, 0.0)
-        closed = deformation_closed_form(label, params, 0.0)
+        closed = closed_form(label, params, 0.0)
         assert np.allclose(gen, sc0, atol=1e-12)
-        assert np.allclose(closed, sc0, atol=1e-12)
+        assert np.allclose(closed, [sc0[s] for s in SLOTS], atol=1e-12)
 
     @pytest.mark.parametrize("label", DEFORMABLE)
     def test_generated_matches_closed_form(self, label):
@@ -128,8 +136,9 @@ class TestDeformations:
             C = label_params(label, p0)
             for t in np.linspace(0.0, 4 * math.pi / w, 50):
                 gen = dynamical_deformation(C, params, float(t))
-                closed = deformation_closed_form(label, params, float(t))
-                assert np.max(np.abs(gen - closed)) <= 1e-12
+                closed = closed_form(label, params, float(t))
+                assert max(abs(gen[s] - c)
+                           for s, c in zip(SLOTS, closed)) <= 1e-12
 
     @pytest.mark.parametrize("label", DEFORMABLE)
     def test_periodicity(self, label):
@@ -199,22 +208,9 @@ class TestClassicalJacobiator:
 
 
 class TestStacked:
-    """A stack of samples, also one the suites split into chunks, gives
-    each sample's result bit for bit as a call with that sample alone."""
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("label", DEFORMABLE[1:4])
-    def test_deformation_closed_form(self, batch, label):
-        rng = np.random.default_rng(batch)
-        params = HOParams(omega=1.3, p0=0.9)
-        t = rng.uniform(0.0, 12.0, size=batch)
-        stacked = _chunked(
-            lambda t: deformation_closed_form(label, params, t), t)
-        assert stacked.shape == (batch, 3, 3, 3)
-        for ti, arr in zip(t, stacked):
-            alone = deformation_closed_form(label, params, float(ti))
-            assert alone.shape == (3, 3, 3)
-            assert np.array_equal(arr, alone), ti
+    """A stack of samples, also one split into chunks of CHUNK samples,
+    gives each sample's result bit for bit as a call with that sample
+    alone."""
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("label", DEFORMABLE[1:4])
@@ -260,50 +256,43 @@ class TestStacked:
             assert np.array_equal(stacked[b], alone), b
             assert np.array_equal(alone, reference), b
 
-    @pytest.mark.parametrize("chunk", (1, 7, 1 << 20))
-    def test_suite_report_does_not_depend_on_chunk(self, monkeypatch, chunk):
-        """One sample per call, a few, or every stack in one call: the same
-        report, byte for byte."""
-        expected = bianchi_suite(seed=5).render_json()
-        monkeypatch.setattr(suites, "CHUNK", chunk)
-        assert bianchi_suite(seed=5).render_json() == expected
-
 
 class TestBianchiSuiteGates:
-    """The stacked cases of the bianchi suite fail when their check
-    breaks."""
+    """The cases of the bianchi suite fail when their check breaks."""
 
-    def test_no_samples_fails_closed_form_case(self, monkeypatch):
-        """At T_SAMPLES = 0 deformation_closed_forms checks nothing, and
-        fails without a residual; the other cases keep their samples."""
-        monkeypatch.setattr(suites, "T_SAMPLES", 0)
-        cases = {c.case_id: c for c in bianchi_suite().cases}
-        case = cases.pop("deformation_closed_forms")
-        assert (case.passed, case.residual, case.detail) \
-            == (False, None, "samples=0")
-        assert all(c.passed for c in cases.values())
-        monkeypatch.setattr(suites, "T_SAMPLES", 1)
-        assert bianchi_suite().passed
+    @staticmethod
+    def assert_sign_flip_fails_closed_forms(monkeypatch, capsys, name, slot):
+        """With the sign of one of the nine values that suites.<name>
+        returns flipped, deformation_closed_forms fails, and only it."""
+        real = getattr(suites, name)
 
-    def test_closed_form_sign_flip_fails(self, monkeypatch, capsys):
-        real = suites.deformation_closed_form
+        def flipped(*args):
+            slots = list(real(*args))
+            slots[slot] = -slots[slot]
+            return tuple(slots)
 
-        def flipped(label, params, t):
-            arr = real(label, params, t).copy()
-            # mu^2_12 = -a P / sqrt(2 p0) with its sign flipped
-            arr[..., 1, 0, 1] *= -1
-            arr[..., 1, 1, 0] *= -1
-            return arr
-
-        monkeypatch.setattr(suites, "deformation_closed_form", flipped)
+        monkeypatch.setattr(suites, name, flipped)
         cases = {c.case_id: c.passed for c in bianchi_suite().cases}
-        assert not cases["deformation_closed_forms"]
-        assert all(passed for case, passed in cases.items()
-                   if case != "deformation_closed_forms")
+        assert not cases.pop("deformation_closed_forms")
+        assert all(cases.values())
         assert main(["verify", "--target", "bianchi"]) == 1
         out, err = capsys.readouterr()
-        assert "case=deformation_closed_forms" in out
+        failed = [line.split()[1] for line in out.splitlines()
+                  if line.endswith("pass=false")]
+        assert failed == ["case=deformation_closed_forms", "case=SUMMARY"]
         assert "Traceback" not in err
+
+    def test_closed_form_sign_flip_fails(self, monkeypatch, capsys):
+        """The table with mu^2_12 = -a P / sqrt(2 p0) of the opposite
+        sign."""
+        self.assert_sign_flip_fails_closed_forms(
+            monkeypatch, capsys, "deformation_closed_form", 1)
+
+    def test_mu_slots_sign_flip_fails(self, monkeypatch, capsys):
+        """The operadic family, as the case reads it, with mu^2_23 =
+        c2 w q + c3 p + c1 of the opposite sign."""
+        self.assert_sign_flip_fails_closed_forms(
+            monkeypatch, capsys, "mu_slots", 4)
 
     @pytest.mark.parametrize("mutation", ("c5_c6_swapped", "float_halves"))
     def test_params_mutation_fails_roundtrip(self, monkeypatch, mutation):

@@ -424,14 +424,14 @@ class TestDeform:
                             "--t1", str(period), "--steps", "12")
         header, rows = parse_csv(out)
         assert len(rows) == 13
-        bianchi = BianchiLabel(BianchiType(label), a)
         params = HOParams.from_energy(omega, energy)
         for row in rows:
-            t = float(row[0])
-            closed = deformation_closed_form(bianchi, params, t)
-            for value, (i, j, k) in zip(row[5:], SLOTS, strict=True):
-                assert float(value) == pytest.approx(closed[i, j, k],
-                                                     abs=1e-12)
+            pt = trajectory(params, float(row[0]))
+            closed = deformation_closed_form(
+                BianchiType(label), a, params.p0, math.sqrt(2 * params.p0),
+                omega * pt.q, pt.p, pt.Q, pt.P)
+            for value, expected in zip(row[5:], closed, strict=True):
+                assert float(value) == pytest.approx(expected, abs=1e-12)
 
     def test_type_ii_rejected(self, capsys):
         code, _, err = run_cli(capsys, "deform", "--label", "II")

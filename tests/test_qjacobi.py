@@ -8,11 +8,13 @@ from oplax import qjacobi as qj
 from oplax.bianchi import BianchiType, UnsupportedLabelError
 from oplax.cli import main
 from oplax.lax import SLOTS, antisymmetry_break
-from oplax.ncalg import CoeffPoly, NCPoly, commutator
+from oplax.ncalg import SYMBOLS, CoeffPoly, NCPoly, commutator
 from oplax.suites import _spectrum_delta, quantum_suite
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
+# the exponent of the symbol a in a CoeffPoly's terms
+A_INDEX = SYMBOLS.index("a")
 
 LABELS = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
 
@@ -63,7 +65,8 @@ class TestQStructure:
             for j in range(3):
                 for k in range(3):
                     for coeff in qsc[i][j][k].terms.values():
-                        assert not coeff.contains("a")
+                        assert all(exps[A_INDEX] == 0
+                                   for exps in coeff.terms)
 
     def test_n3_sign(self):
         viia = qj.q_structure(BianchiType.VIIA)
@@ -334,7 +337,7 @@ class TestDerivativeAlgebra:
                       * CoeffPoly.symbol("Delta")
                       * CoeffPoly.monomial(Fraction(1, 32), {"p0": -4}))
         assert da.C == expected_C
-        assert not da.C.contains("a")
+        assert all(exps[A_INDEX] == 0 for exps in da.C.terms)
         assert da.beta_sq == -(da.C * CoeffPoly.symbol("Delta"))
         assert da.heisenberg is True
 
@@ -347,7 +350,8 @@ class TestDerivativeAlgebra:
         assert da.heisenberg is False
 
     def test_commutators_directly(self):
-        """The three brackets that the Heisenberg verdict reads."""
+        """The three brackets that hold by construction once C is defined,
+        so that the Heisenberg verdict is beta^2 != 0."""
         j1, j2, j3 = qj.corollary_HE(BianchiType.VIIA)
         reduce = qj._reduce_he
         assert reduce(commutator(j1, j3)).is_zero

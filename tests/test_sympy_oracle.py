@@ -16,7 +16,10 @@ expressions, with the radical r taken as sqrt(2 p0).
 The classical operadic Lax equation gets an oracle of its own: sympy
 symbols go through lax.mu_slots, the one statement of the family, and the
 derivative along the flow and the bracket with M are sympy's and the index
-formula's, not oplax's.
+formula's, not oplax's.  The paper's deformation table goes through
+bianchi.deformation_closed_form, its one statement: over sympy symbols it
+is lax.mu_slots at the Bianchi rows' C, and over sympy operators it is the
+structure that q_structure builds in ncalg.
 """
 
 from itertools import product
@@ -25,7 +28,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from oplax import lax  # noqa: E402
+from oplax import bianchi, lax  # noqa: E402
 from oplax import qjacobi as qj  # noqa: E402
 from oplax.bianchi import BianchiType  # noqa: E402
 from oplax.ncalg import SYMBOLS  # noqa: E402
@@ -52,6 +55,17 @@ ON_SHELL = {EPS: OMEGA / (2 * P0)}
 
 LABELS = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
 ALPHABETS = tuple(OPERATORS)
+
+
+# mu^1_12, mu^2_12, mu^3_12, mu^1_23, mu^2_23, mu^3_23, mu^1_31, mu^2_31,
+# mu^3_31 as (i, j, k), 0-based: the order of the nine values of mu_slots
+LAX_SLOTS = ((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 2), (1, 1, 2),
+             (2, 1, 2), (0, 2, 0), (1, 2, 0), (2, 2, 0))
+
+
+def a_of(btype):
+    """The parameter a of the type, 1 for III_{a=1}."""
+    return 1 if btype is BianchiType.IIIA1 else A
 
 
 def letters_of(term) -> list:
@@ -110,7 +124,7 @@ def oracle_xi(alphabet="PQ"):
 def closed_form_coefficients(btype):
     """-(a Delta / (r p0)) and a^2 Delta / p0: the claimed Jacobiator is
     J^{1,2} = the first times xi^{1,2} and J^3 = the second times PQ - QP."""
-    a = 1 if btype is BianchiType.IIIA1 else A
+    a = a_of(btype)
     return -(a * DELTA / (SYM["r"] * P0)), a * a * DELTA / P0
 
 
@@ -180,23 +194,30 @@ def test_derivative_algebra_constants(btype):
 
 
 def oracle_structure(btype, alphabet="PQ"):
-    """mu^i_jk from the letters: the nine entries of the paper's table, by
-    (i, j, k), and their negatives at the transposed lower indices."""
-    a = 1 if btype is BianchiType.IIIA1 else A
-    n3 = 1 if btype is BianchiType.VIIA else -1
-    r = SYM["r"]
+    """mu^i_jk from the letters: the nine entries of the paper's table,
+    bianchi.deformation_closed_form over sympy operators, by (i, j, k), and
+    their negatives at the transposed lower indices."""
     p_op, wq_op = OPERATORS[alphabet]
-    entries = {
-        (0, 0, 1): a * Q / r, (1, 0, 1): -a * P / r, (2, 0, 1): n3,
-        (0, 1, 2): (P0 - p_op) / (2 * P0), (1, 1, 2): -wq_op / (2 * P0),
-        (2, 1, 2): -a * Q / r,
-        (0, 2, 0): -wq_op / (2 * P0), (1, 2, 0): (p_op + P0) / (2 * P0),
-        (2, 2, 0): a * P / r,
-    }
+    entries = bianchi.deformation_closed_form(
+        btype, a_of(btype), P0, SYM["r"], wq_op, p_op, Q, P)
     mu = {}
-    for (i, j, k), value in entries.items():
+    for (i, j, k), value in zip(LAX_SLOTS, entries, strict=True):
         mu[i, j, k], mu[i, k, j] = value, -value
     return lambda i, j, k: mu.get((i, j, k), 0)
+
+
+@pytest.mark.parametrize("btype", LABELS)
+def test_deformation_table_is_the_operadic_family(btype):
+    """lax.mu_slots at the C that solve_C's formula gives for the Bianchi
+    row, over sympy symbols with r = sqrt(2 p0), is the paper's table at
+    every phase point."""
+    a, r = a_of(btype), SYM["r"]
+    wq, p, Q_, P_ = sp.symbols("wq p Q P")
+    C = lax._params_of(bianchi._row_tensor(btype, a), P0, r)
+    family = lax.mu_slots(C, 1, wq, p, Q_, P_)
+    table = bianchi.deformation_closed_form(btype, a, P0, r, wq, p, Q_, P_)
+    for got, expected in zip(family, table, strict=True):
+        assert sp.simplify(got - expected) == 0, (got, expected)
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS)
@@ -269,12 +290,6 @@ def test_jacobiator_tensor_is_alternating(btype):
                             conv)
         for got, expected in zip(J, oracle[0, 1, 2], strict=True):
             assert_same(operator_of(got) / (32 * P0), expected)
-
-
-# mu^1_12, mu^2_12, mu^3_12, mu^1_23, mu^2_23, mu^3_23, mu^1_31, mu^2_31,
-# mu^3_31 as (i, j, k), 0-based: the order of the nine values of mu_slots
-LAX_SLOTS = ((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 2), (1, 1, 2),
-             (2, 1, 2), (0, 2, 0), (1, 2, 0), (2, 2, 0))
 
 
 def oracle_lax():
