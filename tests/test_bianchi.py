@@ -11,7 +11,7 @@ from oplax.bianchi import (BianchiLabel, BianchiType, UnsupportedLabelError,
                            dynamical_deformation, label_params,
                            structure_constants)
 from oplax.cli import main
-from oplax.lax import SLOTS, _exact_sqrt, build_mu, solve_C
+from oplax.lax import SLOTS, _exact_sqrt, build_mu, phase_points, solve_C
 from oplax.oscillator import HOParams, PhasePoint, trajectory
 from oplax.suites import CHUNK, _chunked, bianchi_suite
 
@@ -211,6 +211,31 @@ class TestStacked:
     """A stack of samples, also one split into chunks of CHUNK samples,
     gives each sample's result bit for bit as a call with that sample
     alone."""
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("label", DEFORMABLE[1:4])
+    def test_deformation_closed_form(self, batch, label):
+        """The table over arrays of trajectory points gives each time's
+        nine values as the table over that time's floats alone."""
+        rng = np.random.default_rng(batch)
+        params = HOParams(omega=1.3, p0=0.9)
+        t = rng.uniform(0.0, 12.0, size=batch)
+
+        def table(t):
+            pt = phase_points(params, t)
+            slots = deformation_closed_form(
+                label.type, float(label.a_value), params.p0,
+                math.sqrt(2 * params.p0), params.omega * pt.q, pt.p, pt.Q,
+                pt.P)
+            return np.stack(np.broadcast_arrays(*slots), axis=-1)
+
+        stacked = _chunked(table, t)
+        assert stacked.shape == (batch, len(SLOTS))
+        for ti, row in zip(t, stacked):
+            alone = closed_form(label, params, float(ti))
+            assert all(type(v) is float for v in alone), ti
+            # bit for bit, the signs of zeros included
+            assert row.tobytes() == np.array(alone).tobytes(), ti
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("label", DEFORMABLE[1:4])
