@@ -64,7 +64,14 @@ class BianchiLabel(namedtuple("BianchiLabel", "type a")):
     @property
     def a_value(self):
         """Effective a: the declared parameter, or 1 for III_{a=1}."""
-        return 1 if self.type is BianchiType.IIIA1 else self.a
+        return family_a(self.type, self.a)
+
+
+def family_a(btype: BianchiType, a):
+    """The parameter a of the type's family: 1 for III_{a=1}, else a (a
+    number, or the symbol a).  It does not read _PARAMS, so the closed forms
+    that take it still check the rows."""
+    return 1 if btype is BianchiType.IIIA1 else a
 
 
 # (alpha, n1, n2, n3) with a the family parameter where applicable

@@ -40,7 +40,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bianchi import _PARAMS, BianchiType, _row_tensor, require_deformable
+from .bianchi import (_PARAMS, BianchiType, _row_tensor, family_a,
+                      require_deformable)
 from .lax import (OperadicParams, _params_of, antisymmetric,
                   antisymmetry_break, mu_slots)
 from .ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly, commutator,
@@ -163,7 +164,7 @@ def claimed_jacobi(btype: BianchiType, xi: tuple[NCPoly, NCPoly],
     arguments, the abstract symbol Delta or a value of it.
     """
     require_deformable(btype)
-    a = CoeffPoly.one() if btype is BianchiType.IIIA1 else _sym("a")
+    a = family_a(btype, _sym("a"))
     xi1, xi2 = xi
     table = xi1.table
     coef = -(a * det * CoeffPoly.monomial(1, {"r": -1, "p0": -1}))

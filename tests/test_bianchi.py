@@ -35,6 +35,25 @@ def closed_form(label, params, t):
         math.sqrt(2 * params.p0), params.omega * pt.q, pt.p, pt.Q, pt.P)
 
 
+def random_antisymmetric(rng):
+    """A tensor antisymmetric in its lower indices with integer entries in
+    [-3, 3], as floats: in general no Lie algebra, so its J is not 0."""
+    return np.array(lax.antisymmetric(rng.integers(-3, 4, size=9).tolist()),
+                    float)
+
+
+def nested_brackets(mu, x, y, z):
+    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]] for the bracket
+    [u, v]^i = mu^i_jk u^j v^k, by loops over the indices."""
+    def bracket(u, v):
+        return [sum(mu[i][j][k] * u[j] * v[k]
+                    for j in range(3) for k in range(3)) for i in range(3)]
+
+    return [sum(terms) for terms in zip(*(
+        bracket(u, bracket(v, w))
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y))))]
+
+
 class TestLabel:
     def test_parameter_required(self):
         with pytest.raises(ValueError):
@@ -191,20 +210,34 @@ class TestClassicalJacobiator:
                 assert res <= 1e-10 * max(1.0, norms)
 
     def test_alternating(self):
-        sc = structure_constants(BianchiLabel(BianchiType.VIIA, 1.5))
+        """J vanishes when two arguments agree and changes sign when two
+        are swapped, on a tensor where it does not vanish."""
         rng = np.random.default_rng(23)
-        x, y = rng.uniform(-1, 1, size=(2, 3))
-        assert np.allclose(classical_jacobiator(sc, x, x, y), 0.0,
-                           atol=1e-13)
+        mu = random_antisymmetric(rng)
+        x, y, z = rng.integers(-3, 4, size=(3, 3))
+        J = classical_jacobiator(mu, x, y, z)
+        assert np.any(J != 0)
+        assert np.array_equal(J, nested_brackets(mu, x, y, z))
+        for args in ((x, x, z), (x, z, x), (z, x, x)):
+            assert not np.any(classical_jacobiator(mu, *args)), args
+        assert np.array_equal(classical_jacobiator(mu, y, x, z), -J)
 
     def test_trilinear(self):
-        sc = structure_constants(BianchiLabel(BianchiType.VIA, 2.0))
+        """Linear in each argument, on a tensor where J does not vanish;
+        integer data, so every sum is exact."""
         rng = np.random.default_rng(24)
-        x, y, z, x2 = rng.uniform(-1, 1, size=(4, 3))
-        lhs = classical_jacobiator(sc, 2.0 * x + x2, y, z)
-        rhs = (2.0 * classical_jacobiator(sc, x, y, z)
-               + classical_jacobiator(sc, x2, y, z))
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        mu = random_antisymmetric(rng)
+        x, y, z, w = rng.integers(-3, 4, size=(4, 3))
+        J = classical_jacobiator(mu, x, y, z)
+        assert np.any(J != 0)
+        assert np.array_equal(J, nested_brackets(mu, x, y, z))
+        for slot in range(3):
+            args, other = [x, y, z], [x, y, z]
+            args[slot] = 2 * args[slot] + w
+            other[slot] = w
+            assert np.array_equal(
+                classical_jacobiator(mu, *args),
+                2 * J + classical_jacobiator(mu, *other)), slot
 
 
 class TestStacked:
@@ -338,6 +371,41 @@ class TestBianchiSuiteGates:
         monkeypatch.setattr(lax, "_params_of", mutated)
         cases = {c.case_id: c.passed for c in bianchi_suite().cases}
         assert not cases["solve_build_roundtrip_exact"]
+
+    def test_mu_slots_mu1_23_sign_flip_fails_jacobi(self, monkeypatch):
+        """The operadic family with mu^1_23 = c2 p - c3 w q - c4 of the
+        opposite sign: the deformed tensors are no Lie brackets, and the
+        rows no longer round-trip."""
+        real = lax.mu_slots
+
+        def flipped(*args):
+            slots = list(real(*args))
+            slots[3] = -slots[3]
+            return tuple(slots)
+
+        monkeypatch.setattr(lax, "mu_slots", flipped)
+        cases = {c.case_id: c for c in bianchi_suite().cases}
+        assert {k for k, c in cases.items() if not c.passed} == {
+            "classical_jacobi_on_shell", "solve_build_roundtrip_exact"}
+        assert cases["classical_jacobi_on_shell"].residual > 1.0
+
+    def test_symmetric_stacks_fail(self, monkeypatch):
+        """lax.antisymmetric with its numpy branch symmetric in the lower
+        indices (mu^i_kj = mu^i_jk): the stacks of the Jacobi case are
+        neither antisymmetric nor Lie brackets.  The exact round trip runs
+        on nested lists and still passes."""
+        real = lax.antisymmetric
+
+        def symmetric(values, zero=0):
+            mu = real(values, zero)
+            if isinstance(mu, np.ndarray):
+                for i, j, k in SLOTS:
+                    mu[..., i, k, j] = mu[..., i, j, k]
+            return mu
+
+        monkeypatch.setattr(lax, "antisymmetric", symmetric)
+        failed = {c.case_id for c in bianchi_suite().cases if not c.passed}
+        assert failed == {"classical_jacobi_on_shell", "antisymmetry"}
 
     @pytest.mark.parametrize("n3", (1, -2))
     def test_n3_of_the_table_fails_closed_form_case(self, monkeypatch,

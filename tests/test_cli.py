@@ -329,15 +329,18 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize("seed", (42, 1, 7, 1000, 2000))
-    def test_quantum_json_matches_golden(self, capsys, seed):
-        """The quantum report holds no float at all (every case is exact),
-        so its line of each verify golden file, the fourth, holds on every
-        platform."""
-        code, out, _ = run_cli(capsys, "verify", "--target", "quantum",
+    @pytest.mark.parametrize("target, line", (("operad", 0), ("quantum", 3)))
+    def test_exact_json_matches_golden(self, capsys, target, line, seed):
+        """The operad report's residuals are exact zeros (integer data) and
+        the quantum report holds no float at all, so their lines of each
+        verify golden file, the first and the fourth, hold on every
+        platform.  The lax lines (BLAS) and the bianchi lines (libm) are
+        compared in CI."""
+        code, out, _ = run_cli(capsys, "verify", "--target", target,
                                "--format", "json", "--seed", str(seed))
         assert code == 0
         golden = Path(__file__).parent / "golden" / f"verify-{seed}.json"
-        assert out == golden.read_text().splitlines(keepends=True)[3]
+        assert out == golden.read_text().splitlines(keepends=True)[line]
 
     def test_quantum_text_matches_golden(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--target", "quantum",
