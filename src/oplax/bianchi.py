@@ -61,11 +61,6 @@ class BianchiLabel(namedtuple("BianchiLabel", "type a")):
     # _replace builds through _make, which skips __new__: validate there too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @property
-    def a_value(self):
-        """Effective a: the declared parameter, or 1 for III_{a=1}."""
-        return family_a(self.type, self.a)
-
 
 def family_a(btype: BianchiType, a):
     """The parameter a of the type's family: 1 for III_{a=1}, else a (a

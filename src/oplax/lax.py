@@ -53,13 +53,6 @@ class OperadicParams(namedtuple("OperadicParams",
 
     __slots__ = ()
 
-    @classmethod
-    def from_sequence(cls, values) -> "OperadicParams":
-        vals = tuple(values)
-        if len(vals) != 9:
-            raise ValueError(f"expected 9 parameters, got {len(vals)}")
-        return cls(*vals)
-
     @property
     def admissible(self) -> bool:
         s = (self.c2 * self.c2 + self.c3 * self.c3 + self.c5 * self.c5

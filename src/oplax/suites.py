@@ -176,14 +176,14 @@ def lax_suite(seed: int = 42) -> SuiteReport:
     draws = []
     for _ in range(100):
         c = rng.uniform(-2.0, 2.0, size=9)
-        if OperadicParams.from_sequence(c).admissible:
+        if OperadicParams(*c).admissible:
             draws.append((c, rng.uniform(0.0, 10.0, size=20),
                           rng.uniform(0.0, 10.0)))
     Cs, ts, ts_fd = map(np.array, zip(*draws))
 
     def operadic(mode):
         return lambda c, t: verify_operadic_lax(
-            OperadicParams.from_sequence(c.T), params, t, mode=mode)
+            OperadicParams(*c.T), params, t, mode=mode)
 
     _add_worst(rep, "operadic_lax_analytic", 1e-12,
                _chunked(operadic("analytic"), np.repeat(Cs, 20, axis=0),
@@ -239,7 +239,8 @@ def bianchi_suite(seed: int = 42) -> SuiteReport:
     # whose nine independent entries are rationals, their numerators and
     # denominators drawn in one call each; every solved parameter must be
     # exact
-    rows_exact = [_row_tensor(label.type, Fraction(label.a_value))
+    rows_exact = [_row_tensor(label.type,
+                              Fraction(family_a(label.type, label.a)))
                   for label in _DEFORM_LABELS]
     shape = (len(_EXACT_P0), 25, len(SLOTS))
     nums = rng.integers(-8, 9, size=shape).tolist()

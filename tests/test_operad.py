@@ -9,6 +9,8 @@ from oplax.operad import (DimensionMismatchError, InvalidOperationError,
                           graded_lie_residuals, partial_compose,
                           total_compose)
 
+from test_gates import unsigned
+
 
 def random_op(rng, dim, degree=None, max_degree=3):
     if degree is None:
@@ -271,12 +273,6 @@ def reference_operad_residuals(seed, samples):
     return worst_anti, worst_jacobi
 
 
-def unsigned_partial(fc, nf, gc, ng, i):
-    """operad._partial with its Koszul sign (-1)^(i (ng - 1)) undone."""
-    res = _partial(fc, nf, gc, ng, i)
-    return -res if (i * (ng - 1)) % 2 else res
-
-
 class TestBatchedSuite:
     def test_residuals_do_not_depend_on_array_identity(self):
         """The same stack passed as f and g is composed like a copy."""
@@ -320,7 +316,7 @@ class TestBatchedSuite:
             assert n == 1 or n * 8 * d ** (degree + 1) <= suites.BATCH_BYTES
         assert sum(shapes[0][0] for shapes in stacks) == 300
 
-        monkeypatch.setattr(operad, "_partial", unsigned_partial)
+        monkeypatch.setattr(operad, "_partial", unsigned(_partial))
         cases = {c.case_id: c for c in suites.operad_suite(seed).cases}
         anti, jacobi = reference_operad_residuals(seed, 300)
         assert cases["graded_antisymmetry"].residual == anti
@@ -342,29 +338,3 @@ class TestBatchedSuite:
         assert {stack.dtype for stack in stacks} == {np.dtype(float)}
         values = np.unique(np.concatenate([s.ravel() for s in stacks]))
         assert values.tolist() == list(range(-3, 4))
-
-    def test_suite_without_samples_fails(self, monkeypatch):
-        """No sample checks nothing: every case of the suite fails."""
-        monkeypatch.setattr(suites, "OPERAD_SAMPLES", 0)
-        report = suites.operad_suite()
-        assert report.failures == len(report.cases) == 2
-
-    def test_ungraded_sign_rule_fails_antisymmetry(self, monkeypatch):
-        """A bracket signed by the arities, (-1)^(nf ng), in place of the
-        degrees (nf - 1)(ng - 1) is not graded antisymmetric."""
-        def ungraded(fc, nf, gc, ng):
-            fg, gf = _total(fc, nf, gc, ng), _total(gc, ng, fc, nf)
-            return fg + gf if (nf * ng) % 2 else fg - gf
-
-        monkeypatch.setattr(operad, "_bracket", ungraded)
-        cases = {c.case_id: c for c in suites.operad_suite(42).cases}
-        assert not cases["graded_antisymmetry"].passed
-        assert cases["graded_antisymmetry"].residual > 1.0
-
-    def test_unsigned_partial_fails_jacobi(self, monkeypatch):
-        """Partial compositions without the Koszul sign (-1)^(i |g|) break
-        the graded Jacobi identity."""
-        monkeypatch.setattr(operad, "_partial", unsigned_partial)
-        cases = {c.case_id: c for c in suites.operad_suite(42).cases}
-        assert not cases["graded_jacobi_relative"].passed
-        assert cases["graded_jacobi_relative"].residual >= 1.0

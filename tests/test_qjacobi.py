@@ -6,10 +6,11 @@ import pytest
 
 from oplax import qjacobi as qj
 from oplax.bianchi import BianchiType, UnsupportedLabelError
-from oplax.cli import main
-from oplax.lax import SLOTS, antisymmetry_break
+from oplax.lax import antisymmetry_break
 from oplax.ncalg import SYMBOLS, CoeffPoly, NCPoly, commutator
-from oplax.suites import _spectrum_delta, quantum_suite
+from oplax.suites import _spectrum_delta
+
+from test_gates import broken_mu
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
@@ -349,6 +350,11 @@ class TestDerivativeAlgebra:
         assert da.beta_sq.is_zero
         assert da.heisenberg is False
 
+    def test_zero_j3_leaves_c_undefined(self):
+        j1, j2, j3 = qj.corollary_HE(BianchiType.VIIA)
+        da = qj.derivative_algebra([j1, j2, j3 * 0])
+        assert da == (None, None, False) and da.rendered("C") == "undefined"
+
     def test_commutators_directly(self):
         """The three brackets that hold by construction once C is defined,
         so that the Heisenberg verdict is beta^2 != 0."""
@@ -389,176 +395,22 @@ class TestSpectrum:
 
 
 class TestQuantumSuiteGates:
-    """Each gate fails when the pipeline it checks is broken."""
-
-    @staticmethod
-    def case_passed(case_id: str) -> bool:
-        return next(c.passed for c in quantum_suite().cases
-                    if c.case_id == case_id)
-
-    @pytest.mark.parametrize("broken", ("left_inexact", "right_lambda_free"))
-    def test_machine_check_can_fail(self, monkeypatch, broken):
-        real = qj.verify_theorem_q
-
-        def fake(btype, conv, alphabet):
-            rep = real(btype, conv, alphabet)
-            if broken == "left_inexact" and conv == "left":
-                return rep._replace(exact=(False, True, True))
-            if broken == "right_lambda_free" and conv == "right":
-                res = rep.residuals
-                bumped = res[0] + NCPoly.scalar(res[0].table, 1)
-                return rep._replace(residuals=(bumped,) + res[1:])
-            return rep
-
-        monkeypatch.setattr(qj, "verify_theorem_q", fake)
-        assert not self.case_passed("jacobi_theorem_machine_check")
-
-    def test_claimed_jacobi_checked_from_both_sides(self, monkeypatch):
-        """A wrong J^3 in the one closed form fails both the contraction
-        (at D) and the semiclassical H = E reduction (at Delta)."""
-        real = qj.claimed_jacobi
-
-        def doubled(btype, xi, det):
-            j1, j2, j3 = real(btype, xi, det)
-            return [j1, j2, j3 * 2]
-
-        monkeypatch.setattr(qj, "claimed_jacobi", doubled)
-        cases = {c.case_id: c.passed for c in quantum_suite().cases}
-        assert not cases["jacobi_theorem_machine_check"]
-        assert not cases["corollary_HE_VIIa"]
-
-    def test_zero_j3_fails_derivative_cases(self, monkeypatch, capsys):
-        """With J^3 = 0 there is no C to divide out: the derivative cases
-        fail and the suite, and `oplax verify`, still return a report."""
-        real = qj.claimed_jacobi
-
-        def zero_j3(btype, xi, det):
-            j1, j2, j3 = real(btype, xi, det)
-            return [j1, j2, j3 * 0]
-
-        monkeypatch.setattr(qj, "claimed_jacobi", zero_j3)
-        cases = {c.case_id: c.passed for c in quantum_suite().cases}
-        derivative = [k for k in cases if k.startswith("derivative_")]
-        assert len(derivative) == 2 * len(LABELS)
-        assert not any(cases[k] for k in derivative)
-        assert not cases["spectrum_determinant"]
-        assert main(["verify", "--target", "quantum"]) == 1
-        out, err = capsys.readouterr()
-        assert "case=derivative_C_VIIa detail=undefined pass=false" in out
-        assert "Traceback" not in err
-
-    @staticmethod
-    def delta_cases(cases: dict) -> list:
-        delta = [k for k in cases if k.startswith("jacobi_delta_divisible_")]
-        assert len(delta) == 2 * len(LABELS)
-        return delta
-
-    @staticmethod
-    def broken_structure(entry):
-        """q_structure with the scalar 1 added to mu at one 0-based entry,
-        which breaks its antisymmetry."""
-        real = qj.q_structure
-
-        def broken(btype, table=qj.PQ_TABLE):
-            mu = [[list(row) for row in plane]
-                  for plane in real(btype, table)]
-            i, j, k = entry
-            mu[i][j][k] = mu[i][j][k] + NCPoly.scalar(table, 1)
-            return mu
-
-        return broken
+    """The divisibility verdict, mu broken entry by entry (see test_gates)."""
 
     @pytest.mark.parametrize("alphabet", ("PQ", "qpPQ"))
     def test_broken_mu_fails_divisibility(self, monkeypatch, alphabet):
         """A mu that is not antisymmetric has no alternating Jacobiator to
         divide by Delta: broken at any one of its 27 entries, no component is
         divisible and none certifies.  The verdict reads mu alone, so the
-        left and right conventions share it, broken or not, and the suite
-        reports one divisibility case per label and alphabet.  Broken at one
-        entry, every divisibility case of the suite and the machine check
-        fail."""
+        left and right conventions share it, broken or not."""
         for btype in LABELS:
             for entry in (None, *product(range(3), repeat=3)):
                 with monkeypatch.context() as m:
                     if entry is not None:
                         m.setattr(qj, "q_structure",
-                                  self.broken_structure(entry))
+                                  broken_mu(entry)(qj.q_structure))
                     left, right = (qj.verify_theorem_q(btype, conv, alphabet)
                                    for conv in ("left", "right"))
                 assert left.delta_divisible is right.delta_divisible \
                     is (entry is None), (btype, entry)
                 assert left.all_exact is (entry is None), (btype, entry)
-        monkeypatch.setattr(qj, "q_structure",
-                            self.broken_structure((0, 1, 2)))
-        cases = {c.case_id: c.passed for c in quantum_suite().cases}
-        assert not cases["jacobi_theorem_machine_check"]
-        assert not any(cases[k] for k in self.delta_cases(cases))
-
-    def test_symmetric_structure_fails_theorem(self, monkeypatch, request):
-        """A mu with +value at the transposed slots is not antisymmetric:
-        neither the closed form nor the divisibility by Delta holds.
-        q_structure is cached, so the cache is emptied before the mutation
-        and again after it."""
-        def symmetric(values, zero=0):
-            mu = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-            for (i, j, k), value in zip(SLOTS, values, strict=True):
-                mu[i][j][k] = mu[i][k][j] = value
-            return mu
-
-        qj.q_structure.cache_clear()
-        request.addfinalizer(qj.q_structure.cache_clear)
-        monkeypatch.setattr(qj, "antisymmetric", symmetric)
-        cases = {c.case_id: c.passed for c in quantum_suite().cases}
-        assert not cases["jacobi_theorem_machine_check"]
-        assert not any(cases[k] for k in self.delta_cases(cases))
-
-    @staticmethod
-    def heisenberg_cases(monkeypatch, mutate) -> list:
-        """The verdicts of the heisenberg_identification cases, one per
-        label, with corollary_HE's components replaced by
-        mutate(j1, j2, j3)."""
-        real = qj.corollary_HE
-        monkeypatch.setattr(qj, "corollary_HE",
-                            lambda btype: mutate(*real(btype)))
-        cases = {c.case_id: c.passed for c in quantum_suite().cases}
-        return [cases[f"heisenberg_identification_{b.value}"]
-                for b in LABELS]
-
-    def test_commuting_components_fail_heisenberg(self, monkeypatch):
-        """(J1, J1, J3) keeps all three brackets ([J1, J1] = 0 = 0 J3) but
-        gives beta^2 = 0, the abelian algebra: the identification fails."""
-        assert not any(self.heisenberg_cases(
-            monkeypatch, lambda j1, j2, j3: (j1, j1, j3)))
-
-    def test_non_scalar_j3_fails_heisenberg(self, monkeypatch):
-        P = NCPoly.letter(qj.PQ_TABLE, "P")
-        assert not any(self.heisenberg_cases(
-            monkeypatch, lambda j1, j2, j3: (j1, j2, j3 + P)))
-
-    @staticmethod
-    def skewed_beta_sq_cases(monkeypatch, factor) -> dict:
-        """The quantum suite's verdicts with derivative_algebra's beta^2
-        multiplied by factor."""
-        real = qj.derivative_algebra
-
-        def skewed(components):
-            da = real(components)
-            return da._replace(beta_sq=da.beta_sq * factor)
-
-        monkeypatch.setattr(qj, "derivative_algebra", skewed)
-        return {c.case_id: c.passed for c in quantum_suite().cases}
-
-    @pytest.mark.parametrize("factor", (2, -1, LAM))
-    def test_spectrum_determinant_follows_beta_sq(self, monkeypatch, factor):
-        cases = self.skewed_beta_sq_cases(monkeypatch, factor)
-        assert not cases["spectrum_determinant"]
-
-    def test_beta_sq_scaled_by_omega_over_p0_fails_only_beta_sq(
-            self, monkeypatch):
-        """The spectrum is read at omega = p0, where omega/p0 = 1, so only
-        the derivative_beta_sq cases see this scaling."""
-        cases = self.skewed_beta_sq_cases(
-            monkeypatch, CoeffPoly.monomial(1, {"omega": 1, "p0": -1}))
-        assert not any(cases[f"derivative_beta_sq_{b.value}"]
-                       for b in LABELS)
-        assert cases["spectrum_determinant"]
