@@ -102,22 +102,14 @@ def float_halves(real):
 
 
 def symmetrized(mu):
-    """A numpy stack made symmetric in the lower indices (mu^i_kj =
-    mu^i_jk); nested lists as they are."""
-    if not isinstance(mu, list):
-        for i, j, k in lax.SLOTS:
+    """mu made symmetric in the lower indices, mu^i_kj = mu^i_jk: a numpy
+    stack over its last three axes, nested lists entry by entry."""
+    for i, j, k in lax.SLOTS:
+        if isinstance(mu, list):
+            mu[i][k][j] = mu[i][j][k]
+        else:
             mu[..., i, k, j] = mu[..., i, j, k]
     return mu
-
-
-def symmetric(real):
-    """antisymmetric with +value at the transposed slots."""
-    def antisymmetric(values, zero=0):
-        mu = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-        for (i, j, k), value in zip(lax.SLOTS, values, strict=True):
-            mu[i][j][k] = mu[i][k][j] = value
-        return mu
-    return antisymmetric
 
 
 def broken_mu(entry):
@@ -131,21 +123,20 @@ def broken_mu(entry):
     return returning(broken)
 
 
-def theorem_report(broken: str):
-    """verify_theorem_q with the left convention's J^1 reported inexact, or
-    the right convention's J^1 residual bumped by a lambda-free 1."""
-    def factory(real):
-        def verify_theorem_q(btype, conv, alphabet):
-            rep = real(btype, conv, alphabet)
-            if broken == "left_inexact" and conv == "left":
-                return rep._replace(exact=(False, True, True))
-            if broken == "right_lambda_free" and conv == "right":
-                res = rep.residuals
-                bumped = res[0] + NCPoly.scalar(res[0].table, 1)
-                return rep._replace(residuals=(bumped,) + res[1:])
-            return rep
-        return verify_theorem_q
-    return factory
+def in_convention(conv: str, change):
+    """The factory of verify_theorem_q with change applied to its report in
+    the convention conv alone."""
+    return lambda real: lambda btype, c, alphabet: (
+        change if c == conv else lambda rep: rep)(real(btype, c, alphabet))
+
+
+# the left convention's J^1 reported inexact
+left_inexact = in_convention(
+    "left", lambda rep: rep._replace(exact=(False,) + rep.exact[1:]))
+# the right convention's J^1 residual bumped by a lambda-free 1
+right_lambda_free = in_convention("right", lambda rep: rep._replace(
+    residuals=(rep.residuals[0] + NCPoly.scalar(rep.residuals[0].table, 1),)
+    + rep.residuals[1:]))
 
 
 def components(mutate):
@@ -210,22 +201,20 @@ ROWS = (
     Row("bianchi_mu_slots_mu1_23_sign", [Patch(lax, "mu_slots", flip(3))],
         OPERADIC_LAX | {"bianchi.classical_jacobi_on_shell",
                         "bianchi.solve_build_roundtrip_exact"}),
-    # the exact round trip runs on nested lists and still passes
-    Row("bianchi_symmetric_stacks",
+    Row("bianchi_symmetric_mu",
         [Patch(lax, "antisymmetric", returning(symmetrized))],
         OPERADIC_LAX | {"bianchi.classical_jacobi_on_shell",
-                        "bianchi.antisymmetry"}),
-    # VIa's mu^3_12 as +1 (VIa becomes VIIa) or -2: q_structure, built
-    # from the same row, follows it, and the classical closed forms catch
-    # it
+                        "bianchi.antisymmetry",
+                        "bianchi.solve_build_roundtrip_exact"}),
+    # VIa's mu^3_12 as +1 (VIa becomes VIIa) or -2
     *(Row(f"bianchi_n3_{n3}",
           [Patch(bianchi._PARAMS, BianchiType.VIA,
                  lambda entry, n3=n3: entry[:3] + (n3,))],
           {"bianchi.deformation_closed_forms"}) for n3 in (1, -2)),
-    *(Row(f"quantum_{broken}",
-          [Patch(qj, "verify_theorem_q", theorem_report(broken))],
-          {MACHINE_CHECK})
-      for broken in ("left_inexact", "right_lambda_free")),
+    Row("quantum_left_inexact",
+        [Patch(qj, "verify_theorem_q", left_inexact)], {MACHINE_CHECK}),
+    Row("quantum_right_lambda_free",
+        [Patch(qj, "verify_theorem_q", right_lambda_free)], {MACHINE_CHECK}),
     # one wrong J^3 in the closed form fails the contraction (at D) and the
     # semiclassical H = E reduction (at Delta)
     Row("quantum_doubled_j3",
@@ -242,7 +231,8 @@ ROWS = (
     # guards the construction
     Row("quantum_broken_mu", [Patch(qj, "q_structure", broken_mu((0, 1, 2)))],
         {MACHINE_CHECK} | DIVISIBLE),
-    Row("quantum_symmetric_mu", [Patch(qj, "antisymmetric", symmetric)],
+    Row("quantum_symmetric_mu",
+        [Patch(qj, "antisymmetric", returning(symmetrized))],
         {MACHINE_CHECK} | DIVISIBLE),
     # heisenberg_identification_* is beta^2 != 0: once C is defined, the
     # other brackets hold by construction.  (J1, J1, J3) keeps all three
@@ -273,14 +263,13 @@ ROWS = (
 
 @pytest.fixture
 def fresh_caches():
-    """Empty the quantum layer's caches before and after the test, so that
-    a mutation reaches what they hold and leaves none of it behind."""
-    caches = (qj.q_structure, qj._row_params, qj.xi_polys)
-    for cache in caches:
-        cache.cache_clear()
+    """Empty the real q_structure's cache (a row may patch the name) before
+    and after the test, so that a mutation reaches the structure and leaves
+    none of it behind; _row_params is keyed by the _PARAMS entry."""
+    cache = qj.q_structure
+    cache.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    cache.cache_clear()
 
 
 def refuse(token):

@@ -5,12 +5,12 @@ from itertools import product
 import pytest
 
 from oplax import qjacobi as qj
-from oplax.bianchi import BianchiType, UnsupportedLabelError
+from oplax.bianchi import _PARAMS, BianchiType, UnsupportedLabelError
 from oplax.lax import antisymmetry_break
 from oplax.ncalg import SYMBOLS, CoeffPoly, NCPoly, commutator
 from oplax.suites import _spectrum_delta
 
-from test_gates import broken_mu
+from test_gates import broken_mu, fresh_caches
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
@@ -74,6 +74,18 @@ class TestQStructure:
         via = qj.q_structure(BianchiType.VIA)
         assert viia[2][0][1].scalar_part().constant_value() == 1
         assert via[2][0][1].scalar_part().constant_value() == -1
+
+    @pytest.mark.parametrize("n3", (1, -2))
+    def test_follows_the_table(self, fresh_caches, monkeypatch, n3):
+        """VIa's mu^3_12 in _PARAMS as +1 or -2: with only q_structure's
+        cache emptied, the structure follows, as row_params solves afresh."""
+        before = qj.q_structure(BianchiType.VIA)
+        monkeypatch.setitem(_PARAMS, BianchiType.VIA,
+                            _PARAMS[BianchiType.VIA][:3] + (n3,))
+        qj.q_structure.cache_clear()
+        mutated = qj.q_structure(BianchiType.VIA)
+        assert mutated != before
+        assert mutated[2][0][1].scalar_part().constant_value() == n3
 
 
 def q_bracket(x: tuple, y: tuple, qsc, conv: str = "left") -> tuple:
