@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -329,27 +330,26 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize("seed", (42, 1, 7, 1000, 2000))
-    @pytest.mark.parametrize("target, line", (("operad", 0), ("quantum", 3)))
+    @pytest.mark.parametrize("target, line", (
+        ("operad", 0), ("lax", 1), ("bianchi", 2), ("quantum", 3)))
     def test_exact_json_matches_golden(self, capsys, target, line, seed):
-        """The operad report's residuals are exact zeros (integer data) and
-        the quantum report holds no float at all, so their lines of each
-        verify golden file, the first and the fourth, hold on every
-        platform.  The lax lines (BLAS) and the bianchi lines (libm) are
-        compared in CI."""
+        """Each suite's report is its line of the seed's verify golden
+        file, byte for byte.  The operad residuals are exact zeros (integer
+        data) and the quantum report holds no float at all; the lax and
+        bianchi residuals are floats that depend on libm's sin and cos, as
+        the flow tables do."""
         code, out, _ = run_cli(capsys, "verify", "--target", target,
                                "--format", "json", "--seed", str(seed))
         assert code == 0
         golden = Path(__file__).parent / "golden" / f"verify-{seed}.json"
         assert out == golden.read_text().splitlines(keepends=True)[line]
 
-    def test_quantum_text_matches_golden(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--target", "quantum",
+    def test_text_matches_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--target", "all",
                                "--seed", "42")
         assert code == 0
         golden = Path(__file__).parent / "golden" / "verify-42.txt"
-        assert out == "".join(
-            line for line in golden.read_text().splitlines(keepends=True)
-            if line.startswith("suite=quantum "))
+        assert out == golden.read_text()
 
 
 class TestTrajectory:
@@ -556,6 +556,35 @@ class TestSpectrum:
     def test_negative_n_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--n-max", "-1")
         assert code == 2
+
+
+# the sha256 of the table commands of the workflow's "Flow tables are
+# unchanged" step, their outputs joined in order
+TABLES_SHA256 = ("1ccbfd473ef0a8cf6f9a1d94d3c5c2ef"
+                 "73b4d207749fb8dff041384ff930cd16")
+
+
+def test_tables_match_pinned_sha256(capsys):
+    """The workflow's table commands, run in-process, print the pinned
+    text: float text from libm's sin and cos, with no BLAS in the path, so
+    a moved float fails here, not only in CI."""
+    flow = ["--omega", "1.3", "--energy", "0.8", "--t0", "-2.5e0",
+            "--t1", "20", "--steps", "400"]
+    digest = hashlib.sha256()
+    for fmt_name in ("csv", "json"):
+        for argv in (
+                ["deform", "--label", "VIIa", "--a", "0.7", *flow],
+                ["deform", "--label", "VIIa", "--a", "0.7", "--omega",
+                 "1.3", "--energy", "0.8", "--t0", "-1", "--t1", "1",
+                 "--steps", "2"],
+                ["deform", "--label", "IIIa1", *flow],
+                ["deform", "--label", "VIa", "--a", "2.5", *flow],
+                ["trajectory", *flow],
+                ["spectrum", "--n-max", "40"]):
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt_name)
+            assert code == 0, argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == TABLES_SHA256
 
 
 def reference_emit(header, rows, fmt_name):
