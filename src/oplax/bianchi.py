@@ -11,10 +11,10 @@ build_mu along the trajectory).  deformation_closed_form is the paper's
 table of them, stated once for any scalars that divide; the bianchi suite
 checks it exactly against lax.mu_slots at the rows' C over symbols, the C
 of qjacobi.q_structure.  Type II (Heisenberg) is data-only: it has no
-deformation row.  structure_constants, dynamical_deformation and
-classical_jacobiator return or take numpy stacks of shape (..., 3, 3, 3)
-and load numpy on first use; label_params (the CLI's deform table) and
-deformation_closed_form do not.
+deformation row.  dynamical_deformation and classical_jacobiator return
+or take numpy stacks of shape (..., 3, 3, 3) and load numpy on first use;
+_row_tensor (a row as nested lists), label_params (the CLI's deform table)
+and deformation_closed_form do not.
 """
 
 from __future__ import annotations
@@ -90,11 +90,6 @@ def _row_tensor(btype: BianchiType, a) -> list:
     if isinstance(alpha, float):
         mu = [[[float(x) for x in row] for row in plane] for plane in mu]
     return mu
-
-
-def structure_constants(label: BianchiLabel) -> np.ndarray:
-    """The structure tensor of the given Bianchi type at t = 0."""
-    return np.array(_row_tensor(*label))
 
 
 DEFORMABLE = (BianchiType.VIIA, BianchiType.IIIA1, BianchiType.VIA)
