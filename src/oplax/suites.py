@@ -5,12 +5,12 @@ reports worst-case residuals (a NaN fails its case) so that reruns with
 the same seed are byte-identical.  Each case states its tolerance once,
 where it is judged, and the report prints it.  The operad and lax suites
 draw their random cases from a seeded generator, in bulk: the operad suite
-draws the shapes of OPERAD_SAMPLES random triples in one call and the
-integer coefficients of each group of one shape in one call per operand
-(so its residuals are exact, on any BLAS).  The bianchi and quantum suites
-draw nothing: the bianchi identities are linear or trilinear, so the
-bianchi suite checks them on the basis.  The lax cases on a time grid take
-T_SAMPLES times.
+draws the shapes of OPERAD_SAMPLES random triples in one call, groups them
+by dim and cyclic class of the degrees, and draws the integer coefficients
+of each group in one call per operand (so its residuals are exact, on any
+BLAS).  The bianchi and quantum suites draw nothing: the bianchi
+identities are linear or trilinear, so the bianchi suite checks them on
+the basis.  The lax cases on a time grid take T_SAMPLES times.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ OPERAD_SAMPLES = 1000
 T_SAMPLES = 100
 
 # The operad suite draws the coefficients of all samples of one dim and
-# degrees at once (at most some 12 KiB per operand) and composes them in
-# stacks whose Jacobi terms stay within BATCH_BYTES (the largest tensors go
-# one sample at a time), so no stacked array reaches the malloc mmap
-# threshold (128 KiB).
+# cyclic degree class at once (at most some 30 KiB per operand) and
+# composes them in stacks whose Jacobi terms stay within BATCH_BYTES (the
+# largest tensors go one sample at a time), so no stacked array reaches the
+# malloc mmap threshold (128 KiB).
 BATCH_BYTES = 64 * 1024
 
 # The lax suite's float checks run on stacks of at most CHUNK samples.  A
@@ -76,20 +76,27 @@ def _add_worst(rep: SuiteReport, case_id: str, tol: float, *residuals):
 def operad_suite(seed: int = 42) -> SuiteReport:
     """Graded antisymmetry and graded Jacobi on random integer operations.
 
-    One draw gives each sample's dim and the degrees of f, g and h; the
-    samples are grouped by them, and each group draws the coefficients of
-    f, g and h in one call each, then is composed in stacks of at most
-    BATCH_BYTES of Jacobi terms.  The residuals are per-sample maxima.
+    One draw gives each sample's dim and the degrees of f, g and h.  The
+    degrees are rotated cyclically to their smallest base-4 code and the
+    samples grouped by dim and that class: J(g, h, f) is J(f, g, h) built
+    from the same three brackets, summed in another order, which is exact
+    on integers.  Each group draws the coefficients of f, g and h in one
+    call each, then is composed in stacks of at most BATCH_BYTES of Jacobi
+    terms.  The residuals are per-sample maxima.
     """
     rng = np.random.default_rng(seed)
     rep = SuiteReport("operad", seed=seed)
 
     rows = rng.integers(1, 4, size=(OPERAD_SAMPLES, 4))
-    # entries in 1..3: a row's base-4 code sorts as the row does
-    _, first, counts = np.unique(rows @ (64, 16, 4, 1), return_index=True,
-                                 return_counts=True)
+    # entries in 1..3, so base-4 codes sort as the rows do; each row's
+    # degrees rotate to their smallest code
+    codes, counts = np.unique(
+        64 * rows[:, 0] + np.min([np.roll(rows[:, 1:], -k, axis=1)
+                                  @ (16, 4, 1) for k in range(3)], axis=0),
+        return_counts=True)
     antis, jacobis = [], []
-    for (dim, *degrees), count in zip(rows[first].tolist(), counts.tolist()):
+    for code, count in zip(codes.tolist(), counts.tolist()):
+        dim, *degrees = ((code >> shift) & 3 for shift in (6, 4, 2, 0))
         stacks = [rng.integers(-3, 4, size=(count,) + (dim,) * (degree + 1))
                   .astype(float) for degree in degrees]
         # a Jacobi term of degree deg f + deg g + deg h - 2

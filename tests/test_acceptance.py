@@ -54,7 +54,7 @@ def _check(name, seed, case_ids):
 
 
 @pytest.mark.parametrize("name, seed", (
-    ("operad", 1001), ("lax", 1006), ("bianchi", 1004), ("bianchi", 1005)))
+    ("operad", 1001), ("lax", 1006), ("bianchi", 1004)))
 def test_suite(name, seed):
     _run(name, seed)
 

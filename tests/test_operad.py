@@ -238,14 +238,71 @@ class TestGerstenhaber:
             assert np.max(np.abs(t1 + t2 + t3)) / scale <= 1e-9
 
 
+def smallest_rotation(degrees):
+    """The cyclic rotation of a degree tuple that sorts first."""
+    return min(degrees[k:] + degrees[:k] for k in range(len(degrees)))
+
+
+def drawn_classes(rng, samples):
+    """The (dim, smallest rotation of the degrees) of each sample, in draw
+    order, from the operad suite's first draw from rng."""
+    rows = rng.integers(1, 4, size=(samples, 4))
+    return [(dim, *smallest_rotation(tuple(degrees)))
+            for dim, *degrees in rows.tolist()]
+
+
+def recorded_stacks(monkeypatch):
+    """The shapes of the (F, G, H) stacks the operad suite composes, in
+    order, recorded into the returned list as the suite runs."""
+    stacks = []
+
+    def recorded(F, G, H):
+        stacks.append((F.shape, G.shape, H.shape))
+        return graded_lie_residuals(F, G, H)
+
+    monkeypatch.setattr(suites, "graded_lie_residuals", recorded)
+    return stacks
+
+
+def stack_class(shapes):
+    """The (dim, deg f, deg g, deg h) of a recorded stack."""
+    return (shapes[0][1],) + tuple(len(shape) - 2 for shape in shapes)
+
+
+class TestCyclicJacobi:
+    """J(f, g, h), J(g, h, f) and J(h, f, g) are the same three brackets
+    summed in other orders, so the suite composes one rotation of each
+    degree triple."""
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_rotations_give_the_same_jacobi_residual(self, monkeypatch,
+                                                     dim):
+        """Exactly, on integer stacks: 0.0 as they are, and the same
+        nonzero residual with the Koszul sign dropped from _partial."""
+        rng = np.random.default_rng(17 + dim)
+        F, G, H = (rng.integers(-3, 4, (4,) + (dim,) * (degree + 1))
+                   .astype(float) for degree in (2, 2, 3))
+
+        def jacobis():
+            return [graded_lie_residuals(*stacks)[1]
+                    for stacks in ((F, G, H), (G, H, F), (H, F, G))]
+
+        assert jacobis() == [0.0] * 3
+        monkeypatch.setattr(operad, "_partial", unsigned(_partial))
+        first, *rest = jacobis()
+        assert first > 0.0
+        assert rest == [first] * 2
+
+
 def reference_operad_residuals(seed, samples):
     """The operad suite's data composed one sample at a time through the
     MultiOp API: the same draws (dim and the three degrees of every sample
-    in one call, grouped by np.unique, then each group's coefficients of
-    f, g and h in one call each)."""
+    in one call, the degrees rotated to their smallest cyclic order and the
+    samples grouped by np.unique, then each group's coefficients of f, g
+    and h in one call each)."""
     rng = np.random.default_rng(seed)
-    groups, counts = np.unique(rng.integers(1, 4, size=(samples, 4)),
-                               axis=0, return_counts=True)
+    groups, counts = np.unique(drawn_classes(rng, samples), axis=0,
+                               return_counts=True)
     worst_anti, worst_jacobi = 0.0, 0.0
     for (dim, *degrees), count in zip(groups.tolist(), counts.tolist()):
         stacks = [rng.integers(-3, 4, size=(count,) + (dim,) * (degree + 1))
@@ -288,21 +345,16 @@ class TestBatchedSuite:
     def test_suite_equals_per_sample_loop(self, monkeypatch, seed,
                                           batch_bytes):
         """Any stacking budget (one sample per stack, the default, one
-        stack per dim and degrees) gives the per-sample residuals: exact
-        zeros, and with the Koszul sign dropped from _partial the same
-        nonzero Jacobi residual; each stack holds one dim and degrees and
-        keeps its Jacobi terms within BATCH_BYTES unless it is one sample,
-        and the stacks hold every sample once."""
+        stack per dim and cyclic degree class) gives the per-sample
+        residuals: exact zeros, and with the Koszul sign dropped from
+        _partial the same nonzero Jacobi residual; each stack holds one dim
+        and degrees, its degrees in their smallest cyclic order, and keeps
+        its Jacobi terms within BATCH_BYTES unless it is one sample, and
+        the stacks hold every sample once."""
         if batch_bytes is not None:
             monkeypatch.setattr(suites, "BATCH_BYTES", batch_bytes)
         monkeypatch.setattr(suites, "OPERAD_SAMPLES", 300)
-        stacks = []
-
-        def recorded(F, G, H):
-            stacks.append((F.shape, G.shape, H.shape))
-            return graded_lie_residuals(F, G, H)
-
-        monkeypatch.setattr(suites, "graded_lie_residuals", recorded)
+        stacks = recorded_stacks(monkeypatch)
         cases = {c.case_id: c for c in suites.operad_suite(seed).cases}
         anti, jacobi = reference_operad_residuals(seed, 300)
         assert cases["graded_antisymmetry"].residual == anti == 0.0
@@ -311,9 +363,11 @@ class TestBatchedSuite:
         for shapes in stacks:
             (n, d), = {(shape[0], shape[1]) for shape in shapes}
             assert all(set(shape[1:]) == {d} for shape in shapes)
+            degrees = stack_class(shapes)[1:]
+            assert degrees == smallest_rotation(degrees)
             # a Jacobi term has degree deg f + deg g + deg h - 2
-            degree = sum(len(shape) - 2 for shape in shapes) - 2
-            assert n == 1 or n * 8 * d ** (degree + 1) <= suites.BATCH_BYTES
+            assert n == 1 or n * 8 * d ** (sum(degrees) - 1) \
+                <= suites.BATCH_BYTES
         assert sum(shapes[0][0] for shapes in stacks) == 300
 
         monkeypatch.setattr(operad, "_partial", unsigned(_partial))
@@ -321,6 +375,21 @@ class TestBatchedSuite:
         anti, jacobi = reference_operad_residuals(seed, 300)
         assert cases["graded_antisymmetry"].residual == anti
         assert cases["graded_jacobi_relative"].residual == jacobi > 0.0
+
+    @pytest.mark.parametrize("seed", (42, 1, 7, 1000, 2000))
+    def test_rotation_keeps_coverage(self, monkeypatch, seed):
+        """Every (dim, cyclic degree class) drawn is composed, and in every
+        dim the (deg f, deg g) pairs that graded_antisymmetry sees still
+        cover all six unordered pairs of degrees."""
+        stacks = recorded_stacks(monkeypatch)
+        suites.operad_suite(seed)
+        composed = {stack_class(shapes) for shapes in stacks}
+        assert composed == set(drawn_classes(np.random.default_rng(seed),
+                                             suites.OPERAD_SAMPLES))
+        pairs = set(itertools.combinations_with_replacement((1, 2, 3), 2))
+        for dim in (1, 2, 3):
+            assert {tuple(sorted(degrees[:2]))
+                    for d, *degrees in composed if d == dim} == pairs
 
     def test_coefficients_are_small_integers(self, monkeypatch):
         """Every coefficient the suite composes is an integer in [-3, 3],
