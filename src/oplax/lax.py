@@ -20,13 +20,17 @@ from solve_C's formula over central symbols) read them from there.
 mu_slots, antisymmetric, build_mu, solve_C and mu_time_derivative use plain
 Python arithmetic and work with floats or exact Fractions alike, without
 loading numpy; the numpy layer only enters in the verification routines:
-build_M, build_L, phase_points and the verify_* routines load it on first
-use.  On arrays (phase_points, C with array fields) the same arithmetic
-gives a stack of samples; the verify_* routines take a 1-D stack of times
-(a scalar is a stack of one) and return each sample's residual bitwise as
-alone: a float for a scalar time, an array for a stack.  They judge
-nothing: the suite case that reads a residual states its tolerance.  Their
-finite differences are central, with the one step FD_STEP.
+build_M, build_L, phase_points, operadic_lax_residual and the two verify_*
+routines load it on first use.  On arrays (phase_points, C with array
+fields) the same arithmetic gives a stack of samples.
+operadic_lax_residual states max |dmu - [M, mu]| once, for a stack and a
+given time derivative: verify_operadic_lax's central differences, or
+mu_time_derivative on the lax suite's grid of points.  The verify_*
+routines take a 1-D stack of times (a scalar is a stack of one) and return
+each sample's residual bitwise as alone: a float for a scalar time, an
+array for a stack.  They judge nothing: the suite case that reads a
+residual states its tolerance.  Their finite differences are central, with
+the one step FD_STEP.
 """
 
 from __future__ import annotations
@@ -231,23 +235,22 @@ def mu_time_derivative(C: OperadicParams, params: HOParams,
     return antisymmetric(v - o for v, o in zip(at_velocity, at_origin))
 
 
-def verify_operadic_lax(C: OperadicParams, params: HOParams, t,
-                        mode: str = "analytic") -> float | np.ndarray:
-    """Residual of dmu/dt = [M, mu] at time t (C's fields as long as t).
-
-    mode "analytic" differentiates the closed forms (chain rule); mode "fd"
-    uses central differences over trajectory time.
-    """
-    if mode not in ("analytic", "fd"):
-        raise ValueError(f"unknown mode {mode!r}")
-    point = phase_points(params, t)
-    if mode == "analytic":
-        lhs = mu_time_derivative(C, params, point)
-    else:
-        mp = build_mu(C, params, phase_points(params, t + FD_STEP))
-        mm = build_mu(C, params, phase_points(params, t - FD_STEP))
-        lhs = (mp - mm) / (2 * FD_STEP)
+def operadic_lax_residual(C: OperadicParams, params: HOParams,
+                          point: PhasePoint, dmu) -> np.ndarray:
+    """Per-sample max |dmu - [M, mu]| over a stack of samples (the point's
+    fields as long as the stack, C's too or numbers), mu at point: the
+    residual of the operadic Lax equation for the time derivative dmu."""
     mu = build_mu(C, params, point)
     M = np.broadcast_to(build_M(params.omega), mu.shape[:1] + (3, 3))
-    residual = np.abs(lhs - _bracket(M, 1, mu, 2)).max(axis=(1, 2, 3))
+    return np.abs(dmu - _bracket(M, 1, mu, 2)).max(axis=(1, 2, 3))
+
+
+def verify_operadic_lax(C: OperadicParams, params: HOParams,
+                        t) -> float | np.ndarray:
+    """Residual of dmu/dt = [M, mu] at time t (C's fields as long as t),
+    with dmu/dt by central differences over trajectory time."""
+    mp = build_mu(C, params, phase_points(params, t + FD_STEP))
+    mm = build_mu(C, params, phase_points(params, t - FD_STEP))
+    residual = operadic_lax_residual(C, params, phase_points(params, t),
+                                     (mp - mm) / (2 * FD_STEP))
     return residual.reshape(np.shape(t))[()]

@@ -10,7 +10,9 @@ by dim and cyclic class of the degrees, and draws the integer coefficients
 of each group in one call per operand (so its residuals are exact, on any
 BLAS).  The bianchi and quantum suites draw nothing: the bianchi
 identities are linear or trilinear, so the bianchi suite checks them on
-the basis.  The lax cases on a time grid take T_SAMPLES times.
+the basis.  The lax cases on a time grid take T_SAMPLES times; the
+operadic Lax equation is checked exactly on a grid of points that proves
+it, and by finite differences at random C and times.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .bianchi import (DEFORMABLE, BianchiLabel, BianchiType,
                       classical_jacobiator, deformation_closed_form,
                       dynamical_deformation, family_a, label_params)
 from .lax import (FD_STEP, SLOTS, OperadicParams, _exact_sqrt, antisymmetric,
-                  build_mu, mu_slots, phase_points, solve_C,
+                  build_mu, mu_slots, mu_time_derivative,
+                  operadic_lax_residual, phase_points, solve_C,
                   verify_matrix_lax, verify_operadic_lax)
 from .ncalg import CoeffPoly, NCPoly
 from .operad import MultiOp, gerstenhaber, graded_lie_residuals
@@ -44,20 +47,6 @@ T_SAMPLES = 100
 # largest tensors go one sample at a time), so no stacked array reaches the
 # malloc mmap threshold (128 KiB).
 BATCH_BYTES = 64 * 1024
-
-# The lax suite's float checks run on stacks of at most CHUNK samples.  A
-# check holds several stacks of 3x3x3 tensors at once (mu, dmu/dt, the
-# bracket's partial compositions), so each is kept to half of BATCH_BYTES.
-CHUNK = BATCH_BYTES // (2 * 27 * 8)
-
-
-def _chunked(check, *stacks) -> np.ndarray:
-    """The arrays check(*chunk) returns for consecutive chunks of at most
-    CHUNK samples of the stacks (samples along axis 0), joined in sample
-    order; empty stacks give an empty array."""
-    parts = [check(*(stack[i:i + CHUNK] for stack in stacks))
-             for i in range(0, len(stacks[0]), CHUNK)]
-    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def _add_worst(rep: SuiteReport, case_id: str, tol: float, *residuals):
@@ -173,37 +162,40 @@ def lax_suite(seed: int = 42) -> SuiteReport:
     for w in (0.5, 1.0, 2.0):
         for E in (0.5, 1.0, 2.0):
             params = HOParams.from_energy(w, E)
-            residuals.append(_chunked(
-                lambda t: verify_matrix_lax(params, t),
-                np.linspace(0.0, 2 * np.pi / w, T_SAMPLES)))
+            residuals.append(verify_matrix_lax(
+                params, np.linspace(0.0, 2 * np.pi / w, T_SAMPLES)))
     _add_worst(rep, "matrix_lax_fd", 1e-6, *residuals)
 
-    # operadic Lax equation, analytic and finite-difference modes: each C
-    # at 20 times, and at one more by finite differences
+    # operadic Lax equation on a grid that proves it: dmu/dt - [M, mu] is
+    # linear in C, affine in (q, p, Q, P) and of degree <= 2 in omega, so
+    # it vanishes identically once it vanishes at the nine unit C vectors
+    # times the origin and the four unit points, at three omegas (a stack
+    # each).  Every value is a small dyadic, so every sum is exact
+    C = OperadicParams(*np.repeat(np.eye(9), 5, axis=0).T)
+    point = PhasePoint(None, *np.tile(np.eye(5, 4), (9, 1)).T, H=None)
+    residuals = []
+    for w in (1.0, 2.0, 3.0):
+        params = HOParams(omega=w, p0=1.0)
+        residuals.append(operadic_lax_residual(
+            C, params, point, mu_time_derivative(C, params, point)))
+    _add_worst(rep, "operadic_lax_analytic", 0.0, *residuals)
+
+    # and by finite differences along the trajectory, at random C and times
     params = HOParams(omega=1.1, p0=1.4)
     draws = []
     for _ in range(100):
         c = rng.uniform(-2.0, 2.0, size=9)
         if OperadicParams(*c).admissible:
-            draws.append((c, rng.uniform(0.0, 10.0, size=20),
-                          rng.uniform(0.0, 10.0)))
-    Cs, ts, ts_fd = map(np.array, zip(*draws))
-
-    def operadic(mode):
-        return lambda c, t: verify_operadic_lax(
-            OperadicParams(*c.T), params, t, mode=mode)
-
-    _add_worst(rep, "operadic_lax_analytic", 1e-12,
-               _chunked(operadic("analytic"), np.repeat(Cs, 20, axis=0),
-                        ts.ravel()))
+            draws.append((c, rng.uniform(0.0, 10.0)))
+    Cs, ts = map(np.array, zip(*draws))
     _add_worst(rep, "operadic_lax_fd", 1e-6,
-               _chunked(operadic("fd"), Cs, ts_fd))
+               verify_operadic_lax(OperadicParams(*Cs.T), params, ts))
 
-    # unary/unary Gerstenhaber bracket degenerates to the matrix commutator
-    A = rng.uniform(-1.0, 1.0, size=(3, 3))
-    B = rng.uniform(-1.0, 1.0, size=(3, 3))
+    # unary/unary Gerstenhaber bracket degenerates to the matrix commutator;
+    # on integer matrices both sides are exact
+    A, B = rng.integers(-3, 4, size=(2, 3, 3)).astype(float)
     br = gerstenhaber(MultiOp(1, 3, A), MultiOp(1, 3, B)).coeffs
-    _add_worst(rep, "unary_bracket_is_commutator", 1e-14,
+    _add_worst(rep, "unary_bracket_is_commutator", 0.0,
                np.abs(br - (A @ B - B @ A)))
     return rep
 

@@ -11,10 +11,9 @@ from oplax.bianchi import (BianchiLabel, BianchiType, UnsupportedLabelError,
                            family_a, label_params)
 from oplax.lax import SLOTS, _exact_sqrt, build_mu, phase_points, solve_C
 from oplax.oscillator import HOParams, PhasePoint, trajectory
-from oplax.suites import CHUNK, _chunked
 
-# stack sizes of the stacked checks; the last needs two chunks
-BATCHES = (1, 2, 7, CHUNK + 1)
+# stack sizes of the stacked checks, the last above any stack of the suites
+BATCHES = (1, 2, 7, 152)
 
 DEFORMABLE = [
     BianchiLabel(BianchiType.VIIA, 0.7),
@@ -243,9 +242,8 @@ class TestClassicalJacobiator:
 
 
 class TestStacked:
-    """A stack of samples, also one split into chunks of CHUNK samples,
-    gives each sample's result bit for bit as a call with that sample
-    alone."""
+    """A stack of samples gives each sample's result bit for bit as a call
+    with that sample alone."""
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("label", DEFORMABLE[1:4])
@@ -264,7 +262,7 @@ class TestStacked:
                 pt.P)
             return np.stack(np.broadcast_arrays(*slots), axis=-1)
 
-        stacked = _chunked(table, t)
+        stacked = table(t)
         assert stacked.shape == (batch, len(SLOTS))
         for ti, row in zip(t, stacked):
             alone = closed_form(label, params, float(ti))
@@ -281,8 +279,7 @@ class TestStacked:
         params = HOParams(omega=1.3, p0=0.9)
         C = label_params(label, params.p0)
         t = rng.uniform(0.0, 12.0, size=batch)
-        stacked = _chunked(
-            lambda t: dynamical_deformation(C, params, t), t)
+        stacked = dynamical_deformation(C, params, t)
         assert stacked.shape == (batch, 3, 3, 3)
         for ti, arr in zip(t, stacked):
             alone = dynamical_deformation(C, params, float(ti))
@@ -300,11 +297,8 @@ class TestStacked:
         t = rng.uniform(0.0, 12.0, size=batch)
         x, y, z = rng.uniform(-5.0, 5.0, size=(3, batch, 3))
 
-        def jacobiator(t, x, y, z):
-            return classical_jacobiator(
-                dynamical_deformation(C, params, t), x, y, z)
-
-        stacked = _chunked(jacobiator, t, x, y, z)
+        stacked = classical_jacobiator(dynamical_deformation(C, params, t),
+                                       x, y, z)
         for b in range(batch):
             m = dynamical_deformation(C, params, float(t[b]))
             alone = classical_jacobiator(m, x[b], y[b], z[b])

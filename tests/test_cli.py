@@ -787,17 +787,27 @@ results = [
 
 # the lax routines that load numpy, each called once
 LAX_WITH_NUMPY = """
-from oplax.lax import (build_L, build_M, phase_points, verify_matrix_lax,
+from oplax.lax import (build_L, build_M, mu_time_derivative,
+                       operadic_lax_residual, phase_points, verify_matrix_lax,
                        verify_operadic_lax)
 from oplax.bianchi import BianchiLabel, BianchiType, label_params
 from oplax.oscillator import HOParams, trajectory
 
 params = HOParams(1.3, 0.9)
 C = label_params(BianchiLabel(BianchiType.VIIA, 0.7), params.p0)
+
+
+def residual():
+    point = phase_points(params, 0.5)
+    return operadic_lax_residual(C, params, point,
+                                 mu_time_derivative(C, params, point))
+
+
 calls = {
     "build_M": lambda: build_M(1.3),
     "build_L": lambda: build_L(params, trajectory(params, 0.5)),
     "phase_points": lambda: phase_points(params, 0.5),
+    "operadic_lax_residual": residual,
     "verify_matrix_lax": lambda: verify_matrix_lax(params, 0.5),
     "verify_operadic_lax": lambda: verify_operadic_lax(C, params, 0.5),
 }

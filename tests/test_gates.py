@@ -65,6 +65,13 @@ def c8_flipped(real):
     return mu_slots
 
 
+def velocity_sign(real):
+    """mu_time_derivative with Pdot = +(w/2) Q: the point's Q negated,
+    which only Pdot reads."""
+    return lambda C, params, point: real(C, params,
+                                         point._replace(Q=-point.Q))
+
+
 def ungraded(real):
     """The bracket signed by the arities, (-1)^(nf ng), in place of the
     degrees (nf - 1)(ng - 1)."""
@@ -173,6 +180,10 @@ ROWS = (
         {"lax.phase_constraints", "lax.matrix_lax_fd"}),
     Row("lax_c8_sign", [Patch(lax, "mu_slots", c8_flipped)],
         OPERADIC_LAX | {"bianchi.solve_build_roundtrip_exact"}),
+    # suites imports mu_time_derivative by name; the fd case never reads it
+    Row("lax_velocity_sign",
+        [Patch(suites, "mu_time_derivative", velocity_sign)],
+        {"lax.operadic_lax_analytic"}),
     # lax imports flow by name
     Row("lax_full_frequency_flow",
         [Patch(oscillator, "flow", full_frequency),

@@ -6,20 +6,21 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oplax import suites
+from oplax import lax, suites
 from oplax.cli import main
 from oplax.lax import (SLOTS, NotRepresentableError, OperadicParams,
                        _exact_sqrt, antisymmetric, build_L, build_M, build_mu,
-                       mu_time_derivative, solve_C,
-                       verify_matrix_lax, verify_operadic_lax)
+                       mu_time_derivative, operadic_lax_residual,
+                       phase_points, solve_C, verify_matrix_lax,
+                       verify_operadic_lax)
 from oplax.operad import MultiOp, gerstenhaber
 from oplax.oscillator import HOParams, PhasePoint, trajectory
-from oplax.suites import CHUNK, _chunked, lax_suite
+from oplax.suites import lax_suite
 
 from test_gates import refuse
 
-# stack sizes of the stacked checks; the last needs two chunks
-BATCHES = (1, 2, 7, CHUNK + 1)
+# stack sizes of the stacked checks, the last above any stack of the suites
+BATCHES = (1, 2, 7, 152)
 
 
 def random_params(rng) -> OperadicParams:
@@ -182,20 +183,24 @@ class TestOperadicLax:
             assert np.max(np.abs(d_an - (mp - mm) / (2 * dt))) < 1e-6
 
     def test_lax_equation_analytic(self):
+        """mu_time_derivative against the bracket at random float C on the
+        trajectory: equal up to rounding."""
         rng = np.random.default_rng(9)
         for _ in range(20):
             params = HOParams(omega=float(rng.uniform(0.5, 2.0)),
                               p0=float(rng.uniform(0.5, 2.0)))
             C = random_params(rng)
-            for t in rng.uniform(0.0, 10.0, size=5):
-                residual = verify_operadic_lax(C, params, float(t))
-                assert residual <= 1e-12, residual
+            point = phase_points(params, rng.uniform(0.0, 10.0, size=5))
+            residual = operadic_lax_residual(
+                C, params, point, mu_time_derivative(C, params, point))
+            assert residual.shape == (5,)
+            assert residual.max() <= 1e-12, residual
 
     def test_lax_equation_fd(self):
         params = HOParams(omega=1.3, p0=0.8)
         C = OperadicParams(0.2, -1.0, 0.5, 0.1, 0.7, -0.3, 0.9, 0.4, -0.6)
         for t in np.linspace(0.0, 8.0, 9):
-            residual = verify_operadic_lax(C, params, float(t), mode="fd")
+            residual = verify_operadic_lax(C, params, float(t))
             assert residual <= 1e-6, residual
 
     def test_bracket_matches_direct_contraction(self):
@@ -212,27 +217,18 @@ class TestOperadicLax:
         bracket = gerstenhaber(MultiOp(1, 3, M), MultiOp(2, 3, mu)).coeffs
         assert np.allclose(direct, bracket, atol=1e-14)
 
-    def test_mode_domain(self):
-        params = HOParams(omega=1.0, p0=1.0)
-        C = OperadicParams(0, 1, 0, 0, 0, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            verify_operadic_lax(C, params, 0.0, mode="exact")
 
-
-def reference_operadic_lax(C, params, t, mode):
-    """The operadic Lax residual of one sample by the per-sample route:
-    nested lists at trajectory points and the MultiOp bracket."""
-    point = trajectory(params, t)
-    if mode == "analytic":
-        lhs = np.asarray(mu_time_derivative(C, params, point), dtype=float)
-    else:
-        dt = 1e-5
-        mp = np.asarray(build_mu(C, params, trajectory(params, t + dt)),
-                        dtype=float)
-        mm = np.asarray(build_mu(C, params, trajectory(params, t - dt)),
-                        dtype=float)
-        lhs = (mp - mm) / (2 * dt)
-    mu = np.asarray(build_mu(C, params, point), dtype=float)
+def reference_operadic_lax(C, params, t):
+    """The finite-difference operadic Lax residual of one sample by the
+    per-sample route: nested lists at trajectory points and the MultiOp
+    bracket."""
+    dt = 1e-5
+    mp = np.asarray(build_mu(C, params, trajectory(params, t + dt)),
+                    dtype=float)
+    mm = np.asarray(build_mu(C, params, trajectory(params, t - dt)),
+                    dtype=float)
+    lhs = (mp - mm) / (2 * dt)
+    mu = np.asarray(build_mu(C, params, trajectory(params, t)), dtype=float)
     rhs = gerstenhaber(MultiOp(1, 3, build_M(params.omega)),
                        MultiOp(2, 3, mu)).coeffs
     return float(np.max(np.abs(lhs - rhs)))
@@ -253,49 +249,46 @@ def reference_matrix_lax(params, t):
 
 
 class TestStacked:
-    """A stack of samples, also one the suites split into chunks, gives
-    each sample's residual bit for bit as a call with that sample alone and
-    as the per-sample reference."""
+    """A stack of samples gives each sample's residual bit for bit as a
+    call with that sample alone and as the per-sample reference."""
 
     @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("mode", ("analytic", "fd"))
-    def test_operadic_lax(self, batch, mode):
+    def test_operadic_lax(self, batch):
         rng = np.random.default_rng(batch)
         params = HOParams(omega=1.1, p0=1.4)
         c = rng.uniform(-2.0, 2.0, size=(batch, 9))
         t = rng.uniform(0.0, 10.0, size=batch)
-        stacked = _chunked(
-            lambda c, t: verify_operadic_lax(
-                OperadicParams(*c.T), params, t, mode=mode),
-            c, t)
+        stacked = verify_operadic_lax(OperadicParams(*c.T), params, t)
         samples = [(OperadicParams(*ci), float(ti))
                    for ci, ti in zip(c, t)]
-        alone = [verify_operadic_lax(C, params, ti, mode=mode)
-                 for C, ti in samples]
+        alone = [verify_operadic_lax(C, params, ti) for C, ti in samples]
         assert all(isinstance(r, float) for r in alone)
         assert np.array_equal(stacked, alone)
         assert np.array_equal(stacked, [
-            reference_operadic_lax(C, params, ti, mode) for C, ti in samples])
+            reference_operadic_lax(C, params, ti) for C, ti in samples])
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_matrix_lax(self, batch):
         rng = np.random.default_rng(batch)
         params = HOParams.from_energy(0.5, 2.0)
         t = rng.uniform(0.0, 4 * math.pi, size=batch)
-        stacked = _chunked(lambda t: verify_matrix_lax(params, t), t)
+        stacked = verify_matrix_lax(params, t)
         alone = [verify_matrix_lax(params, float(ti)) for ti in t]
         assert all(isinstance(r, float) for r in alone)
         assert np.array_equal(stacked, alone)
         assert np.array_equal(stacked, [reference_matrix_lax(params, float(ti))
                                         for ti in t])
 
-    @pytest.mark.parametrize("chunk", (1, 7, 1 << 20))
-    def test_suite_report_does_not_depend_on_chunk(self, monkeypatch, chunk):
-        """One sample per call, a few, or every stack in one call: the same
-        report, byte for byte."""
-        expected = lax_suite(seed=5).render_json()
-        monkeypatch.setattr(suites, "CHUNK", chunk)
-        assert lax_suite(seed=5).render_json() == expected
+    def test_empty_stack_gives_empty_residuals(self):
+        """No time checks nothing: an empty array, which the suites report
+        as samples=0."""
+        params = HOParams(omega=1.1, p0=1.4)
+        t = np.empty(0)
+        C = OperadicParams(*np.empty((9, 0)))
+        for residual in (verify_matrix_lax(params, t),
+                         verify_operadic_lax(C, params, t)):
+            assert isinstance(residual, np.ndarray)
+            assert residual.shape == (0,)
 
     def test_nan_time_gives_nan_residual(self):
         C = OperadicParams(0, 1, 0, 0, 0, 0, 0, 0, 0)
@@ -342,3 +335,24 @@ class TestLaxSuiteGates:
         assert cases["matrix_lax_fd"]["pass"] is False
         assert cases["matrix_lax_fd"]["residual"] == "nan"
         assert all(c["pass"] for k, c in cases.items() if k != "matrix_lax_fd")
+
+    # mu^3_12 = c9 is left out: a constant that the rotation leaves
+    # invariant, so its negative solves the Lax equation too
+    @pytest.mark.parametrize("slot", [s for s in range(len(SLOTS)) if s != 2],
+                             ids=lambda s: "mu%d_%d%d" % tuple(
+                                 n + 1 for n in SLOTS[s]))
+    def test_grid_sees_each_flipped_slot(self, monkeypatch, slot):
+        """One mu slot negated, in mu and in its time derivative alike:
+        operadic_lax_analytic fails on its grid with a residual above 0."""
+        real = lax.mu_slots
+
+        def flipped(*args):
+            values = list(real(*args))
+            values[slot] = -values[slot]
+            return tuple(values)
+
+        monkeypatch.setattr(lax, "mu_slots", flipped)
+        case = {c.case_id: c
+                for c in lax_suite().cases}["operadic_lax_analytic"]
+        assert not case.passed
+        assert case.residual > 0

@@ -332,6 +332,54 @@ def test_operadic_lax_equation():
                 assert sp.expand(oplax_dmu[i][j][k] - derivative) == 0
 
 
+def lax_grid_premise() -> bool:
+    """The premise of the lax suite's operadic_lax_analytic grid, at plain
+    symbols q, p, Q, P: each lax.mu_slots entry is linear homogeneous in
+    c1..c9, of total degree <= 1 in (q, p, Q, P) and of degree <= 1 in
+    omega, and each lax.mu_time_derivative entry is of degree <= 2 in
+    omega.  Then dmu/dt - [M, mu] is linear in C, affine in the point and
+    of degree <= 2 in omega, so the grid's 135 zeros prove it zero."""
+    C, w, point, _, mu = oracle_lax()
+    plain = dict(zip(point[1:5], sp.symbols("q p Q P")))
+    dmu = lax.mu_time_derivative(C, HOParams(w, SYM["p0"]), point)
+
+    def poly(entry, *gens):
+        return sp.Poly(sp.sympify(entry).subs(plain), *gens)
+
+    return all(
+        poly(entry, *C).homogeneous_order() == 1
+        and poly(entry, *plain.values()).total_degree() <= 1
+        and poly(entry, w).degree() <= 1 for entry in mu.values()) and all(
+        poly(entry, w).degree() <= 2
+        for plane in dmu for row in plane for entry in row)
+
+
+def test_lax_grid_premise():
+    assert lax_grid_premise()
+
+
+# mu^1_12 = c5 P + c6 Q replaced, one premise broken each: c5^3 P + c6 Q is
+# not linear in C, but equals the real entry at each unit C vector, so the
+# grid cannot see it; c5 P Q + c6 Q is of degree 2 in the point; c5 w p +
+# c6 Q is of degree 1 in omega, but its derivative, through pdot = -w^2 q,
+# of degree 3
+MU1_12_MUTANTS = {
+    "cubed_c5": lambda c, w, q, p, Q, P: c[4] ** 3 * P + c[5] * Q,
+    "quadratic_point": lambda c, w, q, p, Q, P: c[4] * P * Q + c[5] * Q,
+    "omega_p": lambda c, w, q, p, Q, P: c[4] * w * p + c[5] * Q,
+}
+
+
+@pytest.mark.parametrize("mutant", MU1_12_MUTANTS.values(),
+                         ids=MU1_12_MUTANTS)
+def test_lax_grid_premise_fails_on_mutants(mutant, monkeypatch):
+    """mu_time_derivative reads the mutant too."""
+    real = lax.mu_slots
+    monkeypatch.setattr(lax, "mu_slots",
+                        lambda *args: (mutant(*args),) + real(*args)[1:])
+    assert not lax_grid_premise()
+
+
 def test_lax_flow_keeps_the_quasi_canonical_constraints():
     """Along the oracle's flow the derivative of each constraint is a
     multiple of the other, so a point on P^2 - Q^2 = 2p, QP = omega q stays
