@@ -17,6 +17,10 @@ f g + c for ordered pairs, each swap strictly reducing inversions, so
 normal ordering terminates.  The quasi-CCR table implements
 Q P -> P Q - lambda * eps.
 
+Every product is one kernel, sum_of_products, which normal-orders the raw
+words of all its (u, v) pairs once; NCPoly.__mul__ and commutator are its
+one- and two-pair cases.
+
 All values are immutable; equality is exact and decidable.
 """
 
@@ -455,12 +459,7 @@ class NCPoly:
                           _normal=True)
         if not isinstance(other, NCPoly):
             return NotImplemented
-        self._check(other)
-        raw: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _accumulate(raw, w1 + w2, c1 * c2)
-        return NCPoly(self.table, raw)
+        return sum_of_products(self.table, ((self, other),))
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -503,5 +502,23 @@ class NCPoly:
         return f"NCPoly({self.render()})"
 
 
+def sum_of_products(table: CommutationTable, pairs) -> NCPoly:
+    """The sum of u * v over the (u, v) pairs, every operand in table.
+
+    Each raw word w1 + w2, with coefficient c1 * c2, enters one dict, and
+    the dict is normal-ordered once; normal ordering is linear, so the value
+    is exactly the sum of the separate products.  No pairs give zero, and an
+    operand of another table raises ValueError.
+    """
+    raw: dict = {}
+    for u, v in pairs:
+        if u.table is not table or v.table is not table:
+            raise ValueError("operands use different commutation tables")
+        for w1, c1 in u.terms.items():
+            for w2, c2 in v.terms.items():
+                _accumulate(raw, w1 + w2, c1 * c2)
+    return NCPoly(table, raw)
+
+
 def commutator(x: NCPoly, y: NCPoly) -> NCPoly:
-    return x * y - y * x
+    return sum_of_products(x.table, ((x, y), (-y, x)))

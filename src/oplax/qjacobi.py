@@ -45,7 +45,7 @@ from .bianchi import (_PARAMS, BianchiType, _row_tensor, family_a,
 from .lax import (OperadicParams, _params_of, antisymmetric,
                   antisymmetry_break, mu_slots)
 from .ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly, commutator,
-                    quasi_ccr_table)
+                    quasi_ccr_table, sum_of_products)
 
 PQ_TABLE = quasi_ccr_table(("P", "Q"))
 QPPQ_TABLE = quasi_ccr_table(("q", "p", "P", "Q"))
@@ -112,6 +112,20 @@ def q_structure(btype: BianchiType, table: CommutationTable = PQ_TABLE):
     return tuple(tuple(map(tuple, plane)) for plane in mu)
 
 
+def derived_structure(qsc) -> tuple:
+    """(4r mu, whether mu is exactly antisymmetric), derived once per
+    structure value: nested lists become tuples first, and a patched or
+    broken mu is derived afresh, never read from another's entry."""
+    return _derived(tuple(tuple(map(tuple, plane)) for plane in qsc))
+
+
+@functools.cache
+def _derived(qsc: tuple) -> tuple:
+    four_r = CoeffPoly.monomial(4, {"r": 1})
+    return (tuple(tuple(tuple(m * four_r for m in row) for row in plane)
+                  for plane in qsc), antisymmetry_break(qsc) is None)
+
+
 def q_jacobiator(qsc, conv: str = "left") -> tuple:
     """32 p0 times J(e1, e2, e3), the Jacobiator of the basis vectors, as
     its components (J^1, J^2, J^3):
@@ -119,8 +133,8 @@ def q_jacobiator(qsc, conv: str = "left") -> tuple:
         J^i = sum_k (mu^i_1k mu^k_23 + mu^i_2k mu^k_31 + mu^i_3k mu^k_12)
 
     in the left convention, and with each product reversed,
-    mu^k_yz mu^i_xk, in the right one; products with a zero factor are
-    skipped (18 operator products for an antisymmetric mu).
+    mu^k_yz mu^i_xk, in the right one; each J^i is one sum_of_products over
+    its pairs with no zero factor (18 pairs for an antisymmetric mu).
 
     It is built from 4r mu, whose coefficients are all integers (r absorbs
     the a/r entries); r^2 = 2 p0 never halves a coefficient, so its
@@ -129,14 +143,14 @@ def q_jacobiator(qsc, conv: str = "left") -> tuple:
     """
     if conv not in ("left", "right"):
         raise ValueError(f"unknown convention {conv!r}")
-    zero = NCPoly.zero(qsc[0][0][1].table)
-    four_r = CoeffPoly.monomial(4, {"r": 1})
-    mu = [[[m * four_r for m in row] for row in plane] for plane in qsc]
+    mu = derived_structure(qsc)[0]
+    table = mu[0][0][1].table
     pairs = [[(mu[i][x][k], mu[k][y][z])
               for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
               for k in range(3)] for i in range(3)]
-    return tuple(sum((u * v if conv == "left" else v * u
-                      for u, v in row if u and v), zero) for row in pairs)
+    return tuple(sum_of_products(table, [(u, v) if conv == "left" else (v, u)
+                                         for u, v in row if u and v])
+                 for row in pairs)
 
 
 @functools.cache
@@ -207,7 +221,7 @@ def verify_theorem_q(btype: BianchiType, conv: str = "left",
     expected = claimed_jacobi(btype, xi_polys(table),
                               CoeffPoly.monomial(32, {"p0": 1}))
     per_scale = CoeffPoly.monomial(Fraction(1, 32), {"Delta": 1, "p0": -1})
-    divisible = antisymmetry_break(qsc) is None
+    divisible = derived_structure(qsc)[1]
     res = [j - exp for j, exp in zip(J, expected)]
     return TheoremReport(
         exact=tuple(divisible and r.is_zero for r in res),
@@ -235,23 +249,25 @@ _H_INDEX = SYMBOLS.index("h")
 def expand_energy_symbol(x: NCPoly) -> NCPoly:
     """Replace the central symbol h by (P^2 + Q^2)/2 multiplied on the
     RIGHT of each word (the definitional placement; h is central only as a
-    symbol, so placement must be fixed before expanding)."""
+    symbol, so placement must be fixed before expanding).  Every term
+    enters one sum_of_products as the pair (h-free term, h_op^k)."""
     table = x.table
     h_op = NCPoly(table, {("P", "P"): Fraction(1, 2),
                           ("Q", "Q"): Fraction(1, 2)})
-    out = NCPoly.zero(table)
+    powers = [NCPoly.scalar(table, 1)]
+    pairs = []
     for word, coeff in x.terms.items():
         for exps, c in coeff.terms.items():
             k = exps[_H_INDEX]
             if k < 0:
                 raise ValueError("negative h-exponent cannot be expanded")
+            while len(powers) <= k:
+                powers.append(powers[-1] * h_op)
             base = list(exps)
             base[_H_INDEX] = 0
-            acc = NCPoly(table, {word: CoeffPoly({tuple(base): c})})
-            for _ in range(k):
-                acc = acc * h_op
-            out = out + acc
-    return out
+            pairs.append((NCPoly(table, {word: CoeffPoly({tuple(base): c})}),
+                          powers[k]))
+    return sum_of_products(table, pairs)
 
 
 def semiclassical_jacobi(btype: BianchiType) -> list[NCPoly]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplax.ncalg import (SYMBOLS, CoeffPoly, CommutationTable, NCPoly,
-                         commutator, quasi_ccr_table)
+                         commutator, quasi_ccr_table, sum_of_products)
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
@@ -44,6 +44,18 @@ def nc_polys(draw):
         poly = poly + NCPoly(TABLE, {draw(words):
                                      CoeffPoly.number(draw(fractions))})
     return poly
+
+
+QPPQ_TABLE = quasi_ccr_table(("q", "p", "P", "Q"))
+
+
+@st.composite
+def table_polys(draw, table):
+    """An NCPoly over table: up to three words of up to three letters, each
+    with a coeff_polys coefficient."""
+    letters = st.lists(st.sampled_from(table.letters), max_size=3).map(tuple)
+    return NCPoly(table, draw(st.dictionaries(letters, coeff_polys(),
+                                              max_size=3)))
 
 
 # -- scalar ring --------------------------------------------------------------
@@ -448,3 +460,50 @@ class TestNCPoly:
         assert again == a
         for word in a.terms:
             assert list(word) == sorted(word, key=TABLE.order.__getitem__)
+
+
+class TestSumOfProducts:
+    """The kernel of every product: one dict of raw words, normal-ordered
+    once, equals the sum of the separately normal-ordered products."""
+
+    @pytest.mark.parametrize("table", (TABLE, QPPQ_TABLE),
+                             ids=("PQ", "qpPQ"))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_folded_products(self, table, data):
+        polys = table_polys(table)
+        pairs = data.draw(st.lists(st.tuples(polys, polys), max_size=4))
+        folded = NCPoly.zero(table)
+        for u, v in pairs:
+            folded = folded + u * v
+        assert sum_of_products(table, pairs) == folded
+
+    def test_raw_words_are_rewritten(self):
+        P, Q = NCPoly.letter(TABLE, "P"), NCPoly.letter(TABLE, "Q")
+        # Q P -> P Q - lambda eps, gathered with the raw P Q
+        assert sum_of_products(TABLE, [(Q, P), (P, Q)]) == NCPoly(
+            TABLE, {("P", "Q"): 2, (): -(LAM * EPS)})
+
+    def test_cancelling_pairs_give_zero(self):
+        P, Q = NCPoly.letter(TABLE, "P"), NCPoly.letter(TABLE, "Q")
+        one = NCPoly.scalar(TABLE, 1)
+        # raw cancellation, and [P, Q] - lambda eps cancelled by rewriting
+        for pairs in ([(P, Q), (-P, Q)],
+                      [(P, Q), (-Q, P), (NCPoly.scalar(TABLE, -(LAM * EPS)),
+                                         one)]):
+            out = sum_of_products(TABLE, pairs)
+            assert not out and out == NCPoly.zero(TABLE)
+
+    def test_empty_list_is_zero(self):
+        for table in (TABLE, QPPQ_TABLE):
+            out = sum_of_products(table, [])
+            assert out == NCPoly.zero(table) and out.table is table
+
+    def test_table_mismatch(self):
+        P = NCPoly.letter(TABLE, "P")
+        other = NCPoly.letter(QPPQ_TABLE, "P")
+        for pairs in ([(P, other)], [(other, P)], [(P, P), (other, other)]):
+            with pytest.raises(ValueError, match="different commutation"):
+                sum_of_products(TABLE, pairs)
+        with pytest.raises(ValueError, match="different commutation"):
+            P * other

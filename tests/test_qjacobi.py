@@ -10,7 +10,7 @@ from oplax.lax import antisymmetry_break
 from oplax.ncalg import SYMBOLS, CoeffPoly, NCPoly, commutator
 from oplax.suites import _spectrum_delta
 
-from test_gates import broken_mu, fresh_caches
+from test_gates import broken_mu, fresh_caches, returning
 
 LAM = CoeffPoly.symbol("lambda")
 EPS = CoeffPoly.symbol("eps")
@@ -224,19 +224,19 @@ class TestJacobiatorContraction:
                                         alphabet):
         """J(e1, e2, e3) of an antisymmetric mu: 3 components, 3 rotations,
         and the two k != x with mu^i_xk mu^k_yz nonzero, 18 operator
-        products per call."""
+        products per call, passed to the kernel as (u, v) pairs, one call
+        per component."""
         qsc = qj.q_structure(btype, qj.table_for(alphabet))
-        real = NCPoly.__mul__
-        products = 0
+        real = qj.sum_of_products
+        calls = []
 
-        def counting(self, other):
-            nonlocal products
-            products += isinstance(other, NCPoly)
-            return real(self, other)
+        def counting(table, pairs):
+            calls.append(len(pairs))
+            return real(table, pairs)
 
-        monkeypatch.setattr(NCPoly, "__mul__", counting)
+        monkeypatch.setattr(qj, "sum_of_products", counting)
         qj.q_jacobiator(qsc, conv)
-        assert products == 18
+        assert len(calls) == 3 and sum(calls) == 18
 
 
 class TestTheorem:
@@ -306,6 +306,17 @@ class TestSemiclassical:
         })
         assert xi1 == expected1
         assert xi2 == expected2
+
+    def test_expand_energy_symbol_powers(self):
+        """h^0, h^1 and h^2 in one element: each term times h_op to its
+        power on the right, as repeated products."""
+        t = qj.PQ_TABLE
+        P, Q = NCPoly.letter(t, "P"), NCPoly.letter(t, "Q")
+        h_op = (P * P + Q * Q) * Fraction(1, 2)
+        x = NCPoly(t, {("Q",): CoeffPoly.symbol("h", 2) * LAM + 3,
+                       ("P", "Q"): CoeffPoly.symbol("h")})
+        expected = Q * h_op * h_op * LAM + Q * 3 + P * Q * h_op
+        assert qj.expand_energy_symbol(x) == expected
 
     def test_expand_energy_symbol_rejects_negative_powers(self):
         bad = NCPoly.scalar(qj.PQ_TABLE, CoeffPoly.symbol("h", -1))
@@ -426,3 +437,39 @@ class TestQuantumSuiteGates:
                 assert left.delta_divisible is right.delta_divisible \
                     is (entry is None), (btype, entry)
                 assert left.all_exact is (entry is None), (btype, entry)
+
+
+def as_lists(mu) -> list:
+    return [[list(row) for row in plane] for plane in mu]
+
+
+def as_tuples(mu) -> tuple:
+    return tuple(tuple(map(tuple, plane)) for plane in mu)
+
+
+class TestDerivedStructure:
+    """4r mu and mu's antisymmetry verdict are derived once per structure,
+    keyed by its value: a broken mu is derived afresh, and the real one
+    reads its own entry again."""
+
+    @pytest.mark.parametrize("nested", (as_lists, as_tuples))
+    def test_broken_mu_reads_no_stale_entry(self, monkeypatch, nested):
+        verdicts = []
+        for entry in (None, *product(range(3), repeat=3), None):
+            factory = returning(lambda mu: mu) if entry is None \
+                else broken_mu(entry)
+            with monkeypatch.context() as m:
+                m.setattr(qj, "q_structure",
+                          returning(nested)(factory(qj.q_structure)))
+                rep = qj.verify_theorem_q(BianchiType.VIIA, "left", "PQ")
+            verdicts.append("exact" if rep.all_exact
+                            else "divisible" if rep.delta_divisible
+                            else "not divisible")
+        assert verdicts == ["exact"] + ["not divisible"] * 27 + ["exact"]
+
+    def test_one_entry_per_label_and_table(self):
+        qj._derived.cache_clear()
+        for _ in range(2):
+            for btype, conv, alphabet in CONFIGS:
+                qj.verify_theorem_q(btype, conv, alphabet)
+            assert qj._derived.cache_info().currsize == 6
