@@ -17,9 +17,9 @@ f g + c for ordered pairs, each swap strictly reducing inversions, so
 normal ordering terminates.  The quasi-CCR table implements
 Q P -> P Q - lambda * eps.
 
-Every product is one kernel, sum_of_products, which normal-orders the raw
-words of all its (u, v) pairs once; NCPoly.__mul__ and commutator are its
-one- and two-pair cases.
+Every product of two NCPolys is one kernel, sum_of_products, which
+normal-orders the raw words of all its (u, v) pairs once; NCPoly.__mul__
+and commutator are its one- and two-pair cases.
 
 All values are immutable; equality is exact and decidable.
 """

@@ -469,7 +469,7 @@ class TestSumOfProducts:
     @pytest.mark.parametrize("table", (TABLE, QPPQ_TABLE),
                              ids=("PQ", "qpPQ"))
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_matches_folded_products(self, table, data):
         polys = table_polys(table)
         pairs = data.draw(st.lists(st.tuples(polys, polys), max_size=4))

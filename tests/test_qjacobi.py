@@ -456,7 +456,7 @@ class TestDerivedStructure:
     def test_broken_mu_reads_no_stale_entry(self, monkeypatch, nested):
         verdicts = []
         for entry in (None, *product(range(3), repeat=3), None):
-            factory = returning(lambda mu: mu) if entry is None \
+            factory = (lambda real: real) if entry is None \
                 else broken_mu(entry)
             with monkeypatch.context() as m:
                 m.setattr(qj, "q_structure",
