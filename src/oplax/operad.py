@@ -10,19 +10,22 @@ Lie algebra.
 One kernel does all composition.  _partial, _total and the bare bracket
 _bracket take coefficient tensors with any number of leading batch axes (a
 stack of samples, each stack of one dimension and degree) and compose each
-entry on its own with one np.matmul per slot over the whole stack; the axis
-permutations are planned once per (deg f, deg g, slot, batch axes).  The
-MultiOp functions call the same kernel with no batch axis, and
-graded_lie_residuals checks the graded Lie identities on whole stacks.  Each
-product does exactly the arithmetic of np.tensordot, so results are bitwise
-those of the textbook contraction, stacked or not; that depends on the BLAS
-and is pinned by the TestBitwise tests.
+entry on its own with one np.matmul per slot over the whole stack, written
+straight into the C-order layout of f o_i g, so no axis is permuted and
+no result is copied.  A slot before the last multiplies g^T, a (d^deg g, d)
+view, into f seen as d^(i+1) blocks of shape (d, d^(deg f - 1 - i)).  The
+last slot keeps f as a (d^deg f, d) matrix times g as a (d, d^deg g) one:
+g^T times f's (d, 1) blocks would be a matrix-vector product, which BLAS
+sums in another order.  The MultiOp functions call the same kernel with no
+batch axis, and graded_lie_residuals checks the graded Lie identities on
+whole stacks.  Each entry sums the same d products as np.tensordot; that
+the results are bitwise those of the textbook contraction, stacked or not,
+depends on the BLAS and is pinned by the TestBitwise tests.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from ._lazy import LazyNumpy
 
@@ -74,49 +77,35 @@ def _check_dims(f: MultiOp, g: MultiOp):
         raise DimensionMismatchError(f"dim mismatch: {f.dim} != {g.dim}")
 
 
-@lru_cache(maxsize=None)
-def _plan(nf: int, ng: int, i: int, nb: int) -> tuple:
-    """Axis permutations for f o_i g with deg f = nf, deg g = ng, behind nb
-    batch axes.
-
-    The first moves input slot i of f (tensor axis nb+i+1) last.  The
-    product then has axes [batch, out, a_1..a_i, a_(i+2)..a_nf, b_1..b_ng];
-    the second puts the g-block right after the first i surviving f-inputs.
-    """
-    batch = tuple(range(nb))
-    slot = nb + i + 1
-    perm_f = (batch + tuple(k for k in range(nb, nb + nf + 1) if k != slot)
-              + (slot,))
-    perm_out = batch + tuple(nb + k for k in (
-        tuple(range(i + 1)) + tuple(range(nf, nf + ng))
-        + tuple(range(i + 1, nf))))
-    return perm_f, perm_out
-
-
 def _partial(fc: np.ndarray, nf: int, gc: np.ndarray, ng: int,
              i: int) -> np.ndarray:
     """Coefficients of f o_i g from the bare tensors of f and g.
 
     Axes before the last nf + 1 of fc (ng + 1 of gc) are batch axes, the
-    same in both; each batch entry is composed on its own.
+    same in both; each batch entry is composed on its own.  The result is
+    a new C-contiguous array with axes [batch, out, a_1..a_i, b_1..b_ng,
+    a_(i+2)..a_nf].  The last slot is f as a (d^nf, d) matrix times g as a
+    (d, d^ng) one; any other slot is g^T, (d^ng, d), times each (d,
+    d^(nf-1-i)) block of f, over the d^(i+1) blocks.
     """
     d = fc.shape[-1]
     batch = fc.shape[:fc.ndim - nf - 1]
-    perm_f, perm_out = _plan(nf, ng, i, len(batch))
-    res = np.matmul(fc.transpose(perm_f).reshape(batch + (d ** nf, d)),
-                    gc.reshape(batch + (d, d ** ng)))
+    if i == nf - 1:
+        res = np.matmul(fc.reshape(batch + (d ** nf, d)),
+                        gc.reshape(batch + (d, d ** ng)))
+    else:
+        res = np.matmul(
+            gc.reshape(batch + (1, d, d ** ng)).swapaxes(-1, -2),
+            fc.reshape(batch + (d ** (i + 1), d, d ** (nf - 1 - i))))
     if (i * (ng - 1)) % 2:
         np.negative(res, out=res)
-    return res.reshape(batch + (d,) * (nf + ng)).transpose(perm_out)
+    return res.reshape(batch + (d,) * (nf + ng))
 
 
 def _total(fc: np.ndarray, nf: int, gc: np.ndarray, ng: int) -> np.ndarray:
-    """Coefficients of the sum of f o_i g over i = 0..nf-1, in slot order.
-
-    The sum is kept C-contiguous: adding a transposed partial into it is
-    much faster than adding two transposed views of different layouts.
-    """
-    acc = np.ascontiguousarray(_partial(fc, nf, gc, ng, 0))
+    """Coefficients of the sum of f o_i g over i = 0..nf-1, in slot order,
+    added in place into the first partial."""
+    acc = _partial(fc, nf, gc, ng, 0)
     for i in range(1, nf):
         acc += _partial(fc, nf, gc, ng, i)
     return acc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oplax import operad, suites
+from oplax.lax import build_M
 from oplax.operad import (DimensionMismatchError, InvalidOperationError,
                           MultiOp, _bracket, _partial, _total, gerstenhaber,
                           graded_lie_residuals, partial_compose,
@@ -101,12 +102,18 @@ def reference_partial(f, g, i):
 
 ALL_SHAPES = [(dim, nf, ng) for dim in (1, 2, 3)
               for nf in (1, 2, 3) for ng in (1, 2, 3)]
+# every (dim, deg f, deg g) the operad suite composes: its outer brackets
+# [f, [g, h]] take [g, h] of degree up to 5.  ALL_SHAPES comes first, so
+# the tests below draw the same data for it as over ALL_SHAPES alone
+SUITE_SHAPES = ALL_SHAPES + [
+    (dim, nf, ng) for dim in (1, 2, 3) for nf in range(1, 6)
+    for ng in range(1, 6) if max(nf, ng) > 3 and nf + ng <= 8]
 
 
 class TestBitwise:
     def test_partial_matches_tensordot_bitwise(self):
         rng = np.random.default_rng(12)
-        for dim, nf, ng in ALL_SHAPES:
+        for dim, nf, ng in SUITE_SHAPES:
             f = random_op(rng, dim, degree=nf)
             g = random_op(rng, dim, degree=ng)
             for i in range(nf):
@@ -116,7 +123,7 @@ class TestBitwise:
 
     def test_total_and_bracket_match_slot_order_sums_bitwise(self):
         rng = np.random.default_rng(13)
-        for dim, nf, ng in ALL_SHAPES:
+        for dim, nf, ng in SUITE_SHAPES:
             f = random_op(rng, dim, degree=nf)
             g = random_op(rng, dim, degree=ng)
             fg = reference_partial(f, g, 0)
@@ -135,7 +142,7 @@ class TestBitwise:
         """A leading batch axis composes each sample as the public API does,
         bit for bit."""
         rng = np.random.default_rng(15 + batch)
-        for dim, nf, ng in ALL_SHAPES:
+        for dim, nf, ng in SUITE_SHAPES:
             F = rng.uniform(-1, 1, (batch,) + (dim,) * (nf + 1))
             G = rng.uniform(-1, 1, (batch,) + (dim,) * (ng + 1))
             partials = [_partial(F, nf, G, ng, i) for i in range(nf)]
@@ -162,6 +169,33 @@ class TestBitwise:
             for i in range(nf):
                 assert (partial_compose(f, g, i).coeffs == brute[i]).all()
             assert (total_compose(f, g).coeffs == sum(brute)).all()
+
+    @pytest.mark.parametrize("batch", ((), (3,)))
+    def test_results_are_c_contiguous(self, batch):
+        """Each partial and each total is made in its final layout, not
+        returned as a transposed view."""
+        rng = np.random.default_rng(19)
+        for dim, nf, ng in SUITE_SHAPES:
+            F = rng.uniform(-1, 1, batch + (dim,) * (nf + 1))
+            G = rng.uniform(-1, 1, batch + (dim,) * (ng + 1))
+            shape = batch + (dim,) * (nf + ng)
+            results = [_partial(F, nf, G, ng, i) for i in range(nf)]
+            for where, res in enumerate(results + [_total(F, nf, G, ng)]):
+                assert res.shape == shape, (dim, nf, ng, where)
+                assert res.flags.c_contiguous, (dim, nf, ng, where)
+
+    @pytest.mark.parametrize("samples", (1, 5, 135))
+    def test_broadcast_operand_matches_its_copy_bitwise(self, samples):
+        """A stride-0 stack of one operation, as lax passes M, composes as
+        its contiguous copy does, on either side of the bracket."""
+        rng = np.random.default_rng(20 + samples)
+        M = np.broadcast_to(build_M(1.3), (samples, 3, 3))
+        mu = rng.uniform(-1, 1, (samples, 3, 3, 3))
+        copy = np.ascontiguousarray(M)
+        assert np.array_equal(_bracket(M, 1, mu, 2),
+                              _bracket(copy, 1, mu, 2))
+        assert np.array_equal(_bracket(mu, 2, M, 1),
+                              _bracket(mu, 2, copy, 1))
 
 
 class TestTotalCompose:
