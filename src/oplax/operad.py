@@ -84,9 +84,8 @@ def _partial(fc: np.ndarray, nf: int, gc: np.ndarray, ng: int,
     Axes before the last nf + 1 of fc (ng + 1 of gc) are batch axes, the
     same in both; each batch entry is composed on its own.  The result is
     a new C-contiguous array with axes [batch, out, a_1..a_i, b_1..b_ng,
-    a_(i+2)..a_nf].  The last slot is f as a (d^nf, d) matrix times g as a
-    (d, d^ng) one; any other slot is g^T, (d^ng, d), times each (d,
-    d^(nf-1-i)) block of f, over the d^(i+1) blocks.
+    a_(i+2)..a_nf], made by one matmul in the orientation the module
+    docstring gives for slot i.
     """
     d = fc.shape[-1]
     batch = fc.shape[:fc.ndim - nf - 1]

@@ -45,8 +45,8 @@ T_SAMPLES = 100
 # cyclic degree class at once (at most some 30 KiB per operand) and
 # composes them in stacks whose Jacobi terms stay within BATCH_BYTES (the
 # largest tensors go one sample at a time), so no stacked array reaches the
-# malloc mmap threshold (128 KiB).  1 MiB would save about 1.5 ms of a
-# 21.5 ms suite, at about 2.9 MB more peak RSS.
+# malloc mmap threshold (128 KiB).  Stacks of 1 MiB save a few ms of the
+# suite but add about 3 MB of peak RSS.
 BATCH_BYTES = 64 * 1024
 
 
